@@ -99,7 +99,7 @@ bench:
 	$(GO) test -run=NONE -bench=. -benchmem ./...
 
 bench-smoke:
-	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/graph/ ./internal/mpc/ ./internal/mis/
+	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/graph/ ./internal/mpc/ ./internal/mis/ ./internal/matching/
 
 # The perf trajectory artifact: the E1..E18 smoke sweep in machine-
 # readable form, committed as BENCH_PR10.json so successive PRs can diff
@@ -175,7 +175,7 @@ scale-smoke-short:
 # runtime allocates on its own behalf), so ci runs them explicitly
 # without instrumentation; see docs/performance.md.
 allocs-guard:
-	$(GO) test -run AllocsCeiling ./internal/graph/ ./internal/graphio/ ./internal/mpc/
+	$(GO) test -run AllocsCeiling ./internal/graph/ ./internal/graphio/ ./internal/mpc/ ./internal/matching/
 
 docs-check:
 	$(GO) run ./internal/tools/readmecheck README.md docs/service.md

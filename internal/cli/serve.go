@@ -10,6 +10,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -99,7 +100,8 @@ func runServe(args []string, env Env) error {
 	// wait for before submitting.
 	fmt.Fprintf(env.Stdout, "mpcgraphd listening on http://%s\n", ln.Addr())
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	fresh := &freshConns{conns: map[net.Conn]struct{}{}}
+	httpSrv := &http.Server{Handler: srv.Handler(), ConnState: fresh.track}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
@@ -114,6 +116,10 @@ func runServe(args []string, env Env) error {
 	stop()
 	fmt.Fprintln(env.Stderr, "mpcgraphd: draining (new submissions rejected, running jobs finishing)")
 	srv.Drain(*drainWait)
+	// Jobs have settled. A connection that never carried a request holds
+	// none, but Shutdown counts it as busy for its first 5 s, so the
+	// drain closes such connections itself rather than wait them out.
+	fresh.closeAll()
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
@@ -121,4 +127,42 @@ func runServe(args []string, env Env) error {
 	}
 	fmt.Fprintln(env.Stderr, "mpcgraphd: drained, exiting")
 	return nil
+}
+
+// freshConns tracks the daemon's connections that have not yet carried
+// a request (http.StateNew). Once closeAll has run, every connection
+// that arrives before the listener shuts is closed on sight.
+type freshConns struct {
+	mu      sync.Mutex
+	conns   map[net.Conn]struct{}
+	closing bool
+}
+
+// track is the http.Server ConnState hook.
+func (f *freshConns) track(c net.Conn, state http.ConnState) {
+	f.mu.Lock()
+	closeNow := state == http.StateNew && f.closing
+	if state == http.StateNew && !closeNow {
+		f.conns[c] = struct{}{}
+	} else {
+		delete(f.conns, c)
+	}
+	f.mu.Unlock()
+	if closeNow {
+		_ = c.Close() // the connection carried no request; nothing to report
+	}
+}
+
+// closeAll closes every tracked connection, outside the lock.
+func (f *freshConns) closeAll() {
+	f.mu.Lock()
+	f.closing = true
+	conns := make([]net.Conn, 0, len(f.conns))
+	for c := range f.conns {
+		conns = append(conns, c)
+	}
+	f.mu.Unlock()
+	for _, c := range conns {
+		_ = c.Close() // the connection carried no request; nothing to report
+	}
 }

@@ -151,15 +151,26 @@ func (ix *EdgeIndex) ID(u, v int32) int32 {
 	if u > v {
 		u, v = v, u
 	}
-	nb := ix.g.Neighbors(u)
-	i := sort.Search(len(nb), func(i int) bool { return nb[i] > u })
-	suffix := nb[i:]
+	suffix := ix.larger(u)
 	j := sort.Search(len(suffix), func(j int) bool { return suffix[j] >= v })
 	if j == len(suffix) || suffix[j] != v {
 		panic(fmt.Sprintf("graph: edge {%d,%d} not present", u, v))
 	}
 	return ix.start[u] + int32(j)
 }
+
+// larger returns u's neighbors greater than u: the suffix of its sorted
+// list holding one neighbor per id in [start[u], start[u+1]).
+func (ix *EdgeIndex) larger(u int32) []int32 {
+	nb := ix.g.Neighbors(u)
+	return nb[len(nb)-int(ix.start[u+1]-ix.start[u]):]
+}
+
+// FirstID returns the id of the edge from u to its smallest larger
+// neighbor; u's edges to larger neighbors carry consecutive ids from
+// there, in neighbor order. For a vertex with no larger neighbor it is
+// the id the next such edge would take.
+func (ix *EdgeIndex) FirstID(u int32) int32 { return ix.start[u] }
 
 // Endpoints returns the endpoints (u < v) of the edge with the given id.
 func (ix *EdgeIndex) Endpoints(id int32) (u, v int32) {
@@ -174,9 +185,7 @@ func (ix *EdgeIndex) Endpoints(id int32) (u, v int32) {
 		}
 	}
 	u = int32(lo)
-	nb := ix.g.Neighbors(u)
-	i := sort.Search(len(nb), func(i int) bool { return nb[i] > u })
-	return u, nb[i+int(id-ix.start[u])]
+	return u, ix.larger(u)[id-ix.start[u]]
 }
 
 // NumEdges returns the number of indexed edges.

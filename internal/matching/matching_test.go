@@ -522,16 +522,6 @@ func TestDefaultDCut(t *testing.T) {
 	}
 }
 
-func BenchmarkSimulate(b *testing.B) {
-	g := graph.GNP(1<<13, 0.002, rng.New(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Simulate(g, SimOptions{Seed: uint64(i), Eps: eps}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkApproxMaxMatching(b *testing.B) {
 	g := graph.GNP(1<<11, 0.005, rng.New(1))
 	b.ResetTimer()

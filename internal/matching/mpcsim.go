@@ -289,6 +289,12 @@ type simState struct {
 	part      []int32
 	localDeg  []int32
 	globalDeg []int32
+
+	// Freeze-scan scratch shared by the phases and the direct stage: the
+	// ascending worklist of vertices that can still freeze, and one
+	// output buffer per scan shard.
+	work     []int32
+	shardOut [][]int32
 }
 
 func newSimState(g *graph.Graph, eps float64, workers int) *simState {
@@ -416,9 +422,16 @@ func (st *simState) runPhase(
 			stat.MaxInducedWords = w
 		}
 	}
+	// yold is fixed for the phase, so a settled vertex stays settled
+	// until the next phase rebuilds the worklist.
+	ft := &freezeTest{oracle: oracle, deg: localDeg, base: yold}
+	work := st.work[:0]
 	for v := int32(0); v < n; v++ {
 		if int(globalDeg[v]) > stat.MaxActiveDegree {
 			stat.MaxActiveDegree = int(globalDeg[v])
+		}
+		if part[v] >= 0 && !ft.settled(v) {
+			work = append(work, v)
 		}
 	}
 
@@ -456,22 +469,8 @@ func (st *simState) runPhase(
 		toFreeze = toFreeze[:0]
 		hypoToFreeze = hypoToFreeze[:0]
 		if probe == nil {
-			// The freeze predicate reads only pre-iteration state (the
-			// thresholds come from a stateless oracle), so the scan fans
-			// out; shard-order concatenation reproduces the sequential
-			// ascending-vertex candidate order exactly.
-			toFreeze = append(toFreeze, par.Collect(st.workers, int(n), func(lo, hi, _ int) []int32 {
-				var out []int32
-				for v := int32(lo); v < int32(hi); v++ {
-					if !st.inV[v] || st.frozen(v) {
-						continue
-					}
-					if float64(m)*wt*float64(localDeg[v])+yold[v] >= oracle.At(v, st.t) {
-						out = append(out, v)
-					}
-				}
-				return out
-			})...)
+			ft.a, ft.t = float64(m)*wt, st.t
+			toFreeze = st.freezeScan(toFreeze, work, ft)
 		} else {
 			// The probe couples the simulated and hypothetical processes
 			// with shared running statistics; it runs at conformance
@@ -512,6 +511,7 @@ func (st *simState) runPhase(
 				}
 			}
 		}
+		work = st.compact(work, ft)
 		if probe != nil {
 			for _, v := range hypoToFreeze {
 				hypoFreeze[v] = int32(st.t)
@@ -526,6 +526,7 @@ func (st *simState) runPhase(
 		}
 		st.t++
 	}
+	st.work = work
 
 	// Definition 4.12: diff(v) = Σ_{e∋v} |x_e - x^MPC_e| over the edges
 	// that were active at phase start, comparing the freeze schedules of
@@ -638,6 +639,15 @@ func (st *simState) runDirect(mt meter.Meter, oracle rng.ThresholdOracle) (int, 
 	}, func(a, b [2]int64) [2]int64 { return [2]int64{a[0] + b[0], a[1] + b[1]} })
 	activeEdges := int(acc[0] / 2)
 	activeVerts := int(acc[1])
+	// yFrozen moves only when an active edge freezes, so a settled vertex
+	// leaves the worklist for good.
+	ft := &freezeTest{oracle: oracle, deg: activeDeg, base: yFrozen}
+	work := st.work[:0]
+	for v := int32(0); v < n; v++ {
+		if st.inV[v] && !st.frozen(v) && !ft.settled(v) {
+			work = append(work, v)
+		}
+	}
 	maxIter := maxCentralIterations(int(n), st.eps) + st.t
 	iters := 0
 	toFreeze := make([]int32, 0, 64)
@@ -647,18 +657,8 @@ func (st *simState) runDirect(mt meter.Meter, oracle rng.ThresholdOracle) (int, 
 			return iters, fmt.Errorf("direct iteration %d: %w", iters, err)
 		}
 		wt := st.wAt(st.t)
-		toFreeze = append(toFreeze[:0], par.Collect(st.workers, int(n), func(lo, hi, _ int) []int32 {
-			var out []int32
-			for v := int32(lo); v < int32(hi); v++ {
-				if !st.inV[v] || st.frozen(v) {
-					continue
-				}
-				if wt*float64(activeDeg[v])+yFrozen[v] >= oracle.At(v, st.t) {
-					out = append(out, v)
-				}
-			}
-			return out
-		})...)
+		ft.a, ft.t = wt, st.t
+		toFreeze = st.freezeScan(toFreeze[:0], work, ft)
 		for _, v := range toFreeze {
 			st.freezeIter[v] = int32(st.t)
 			st.cover[v] = true
@@ -691,20 +691,91 @@ func (st *simState) runDirect(mt meter.Meter, oracle rng.ThresholdOracle) (int, 
 				activeEdges--
 			}
 		}
+		work = st.compact(work, ft)
 		st.t++
 		iters++
 	}
 	// Defensive: if the cap fired, freeze remaining active endpoints so
-	// the cover property holds (cannot happen for sane ε; tested).
+	// the cover property holds (cannot happen for sane ε; tested). Every
+	// unfrozen vertex with an active edge is still on the worklist.
 	if activeEdges > 0 {
-		for v := int32(0); v < n; v++ {
-			if st.inV[v] && !st.frozen(v) && activeDeg[v] > 0 {
+		for _, v := range work {
+			if activeDeg[v] > 0 {
 				st.freezeIter[v] = int32(st.t)
 				st.cover[v] = true
 			}
 		}
 	}
 	return iters, nil
+}
+
+// freezeTest is one loop's freeze predicate. Both loops estimate y_v as
+// a·deg[v] + base[v]: a phase with a = m·w_t, deg the local degree and
+// base y_old (the ỹ of Line (e)); the direct stage with a = w_t, deg the
+// active degree and base the weight of v's frozen edges.
+type freezeTest struct {
+	oracle rng.ThresholdOracle
+	t      int
+	a      float64
+	deg    []int32
+	base   []float64
+}
+
+// reaches reports whether v's estimate reaches T_{v,t}.
+func (ft *freezeTest) reaches(v int32) bool {
+	return ft.oracle.Reaches(ft.a*float64(ft.deg[v])+ft.base[v], v, ft.t)
+}
+
+// settled reports that v can no longer freeze in this loop: deg only
+// falls and base only moves along with it, so with deg[v] == 0 the
+// estimate stays base[v], and below Lo() it reaches no threshold.
+func (ft *freezeTest) settled(v int32) bool {
+	return ft.deg[v] == 0 && ft.base[v] < ft.oracle.Lo()
+}
+
+// freezeScan appends to dst the vertices of the ascending worklist work
+// whose estimate reaches their threshold. The predicate reads only
+// pre-iteration state (thresholds come from a stateless oracle), so the
+// scan fans out; each shard filters into its reused buffer and the
+// buffers are concatenated in shard order, which reproduces the
+// sequential ascending order at every worker count.
+func (st *simState) freezeScan(dst, work []int32, ft *freezeTest) []int32 {
+	shards := par.ShardCount(st.workers, len(work))
+	if shards == 1 {
+		return appendReached(dst, work, ft)
+	}
+	for len(st.shardOut) < shards {
+		st.shardOut = append(st.shardOut, nil)
+	}
+	par.For(st.workers, len(work), func(lo, hi, w int) {
+		st.shardOut[w] = appendReached(st.shardOut[w][:0], work[lo:hi], ft)
+	})
+	for _, out := range st.shardOut[:shards] {
+		dst = append(dst, out...)
+	}
+	return dst
+}
+
+func appendReached(dst, work []int32, ft *freezeTest) []int32 {
+	for _, v := range work {
+		if ft.reaches(v) {
+			dst = append(dst, v)
+		}
+	}
+	return dst
+}
+
+// compact drops the vertices that froze or settled from the worklist,
+// in place and in order.
+func (st *simState) compact(work []int32, ft *freezeTest) []int32 {
+	k := 0
+	for _, v := range work {
+		if !st.frozen(v) && !ft.settled(v) {
+			work[k] = v
+			k++
+		}
+	}
+	return work[:k]
 }
 
 // computeY returns y^MPC over G[V'] at the current iteration. Each
@@ -757,14 +828,16 @@ func (st *simState) finalize() *FracResult {
 				continue
 			}
 			s := 0.0
+			id := ix.FirstID(v) // id of {v, u} for the next neighbor u > v
 			for _, u := range g.Neighbors(v) {
-				if !st.inV[u] {
-					continue
+				var w float64
+				if st.inV[u] {
+					w = st.edgeWeightAt(v, u, st.t)
+					s += w
 				}
-				w := st.edgeWeightAt(v, u, st.t)
-				s += w
 				if v < u {
-					res.X[ix.ID(v, u)] = w
+					res.X[id] = w
+					id++
 				}
 			}
 			res.Y[v] = s

@@ -28,8 +28,15 @@ func RoundFractional(g *graph.Graph, frac *FracResult, candidate []bool, src *rn
 		}
 		r := src.Float64()
 		acc := 0.0
+		next := frac.Ix.FirstID(v) // id of {v, u} for the next neighbor u > v
 		for _, u := range g.Neighbors(v) {
-			x := frac.X[frac.Ix.ID(v, u)]
+			id := next
+			if u < v {
+				id = frac.Ix.ID(u, v)
+			} else {
+				next++
+			}
+			x := frac.X[id]
 			if x <= 0 {
 				continue
 			}

@@ -178,25 +178,31 @@ func ApproxMaxWeightedMatchingMPC(wg *graph.Weighted, opts WeightedMPCOptions) (
 	if iters < 2 {
 		iters = 2
 	}
+	// EdgeList is in edge-id order, so edges[i] weighs W[i]. matchedW[v]
+	// is the weight of v's matched edge, 0 while v is free; weights are
+	// positive, so adding the 0 of a free endpoint is exact.
 	edges := wg.EdgeList()
+	matchedW := make([]float64, n)
+	profitable := func(i int) bool {
+		e := edges[i]
+		return wg.W[i] > (1+eps)*(matchedW[e[0]]+matchedW[e[1]])
+	}
 	for k := 0; k < iters; k++ {
-		b := graph.NewBuilder(n)
+		// Count first, so the builder allocates its key slice once.
 		profitableCount := 0
-		for _, e := range edges {
-			conflict := 0.0
-			if mu := res.M[e[0]]; mu != -1 {
-				conflict += wg.EdgeWeight(e[0], mu)
-			}
-			if mv := res.M[e[1]]; mv != -1 {
-				conflict += wg.EdgeWeight(e[1], mv)
-			}
-			if wg.EdgeWeight(e[0], e[1]) > (1+eps)*conflict {
-				b.AddEdge(e[0], e[1])
+		for i := range edges {
+			if profitable(i) {
 				profitableCount++
 			}
 		}
 		if profitableCount == 0 {
 			break
+		}
+		b := graph.NewBuilderCap(n, profitableCount)
+		for i, e := range edges {
+			if profitable(i) {
+				b.AddEdge(e[0], e[1])
+			}
 		}
 		sub := b.MustBuild()
 		cluster.SetActive(n - 2*res.M.Size())
@@ -211,12 +217,19 @@ func ApproxMaxWeightedMatchingMPC(wg *graph.Weighted, opts WeightedMPCOptions) (
 			Rounds: after.Rounds - before.Rounds,
 			Words:  after.TotalWords - before.TotalWords,
 		})
-		for _, e := range ii.M.Edges() {
-			res.M.Unmatch(e[0])
-			res.M.Unmatch(e[1])
+		added := ii.M.Edges()
+		for _, e := range added {
+			for _, x := range e {
+				if mate := res.M[x]; mate != -1 {
+					matchedW[x], matchedW[mate] = 0, 0
+					res.M.Unmatch(x)
+				}
+			}
 		}
-		for _, e := range ii.M.Edges() {
+		for _, e := range added {
 			res.M.Match(e[0], e[1])
+			w := wg.EdgeWeight(e[0], e[1])
+			matchedW[e[0]], matchedW[e[1]] = w, w
 		}
 		res.Improvements++
 	}

@@ -31,6 +31,23 @@ func (o ThresholdOracle) At(v int32, t int) float64 {
 	return o.lo + o.span*u
 }
 
+// Reaches reports whether y >= At(v, t), hashing only when y falls
+// inside the sampling band. At is lo + span·u with u in [0, 1), and
+// rounding is monotone, so lo <= At(v, t) <= Hi() for every (v, t):
+// below Lo() no threshold is reached and from Hi() on every one is.
+// Hi() is the rounded lo+span, which can differ from the hi passed to
+// NewThresholdOracle in the last bit, so it — not hi — is the upper
+// gate. A fixed threshold (lo == hi) has span 0 and never hashes.
+func (o ThresholdOracle) Reaches(y float64, v int32, t int) bool {
+	if y < o.lo {
+		return false
+	}
+	if y >= o.lo+o.span {
+		return true
+	}
+	return y >= o.At(v, t)
+}
+
 // Lo returns the lower end of the sampling interval.
 func (o ThresholdOracle) Lo() float64 { return o.lo }
 
