@@ -1,12 +1,12 @@
 # Pre-merge check for this repository. `make ci` is the documented gate:
 # it checks formatting, vets every package, runs the full test suite
 # under the race detector (the determinism tests in parallel_test.go
-# double as the parallel-engine oracle; the parity tests in
-# solve_test.go pin the deprecated wrappers to Solve; the round-trip
-# tests in solvefile_test.go pin the file formats to bit-identical
-# reports), smoke-runs the benchmarks, proves the CLIs enumerate the
-# algorithm registry and that every registered (Problem, Model) pair has
-# a working benchmark entry, pipes `mpcgraph gen` into `mpcgraph solve`
+# double as the parallel-engine oracle; the round-trip tests in
+# solvefile_test.go pin the file formats to bit-identical reports),
+# smoke-runs the benchmarks, proves the CLI enumerates the algorithm
+# registry and that every registered (Problem, Model) pair has a
+# working benchmark entry, re-derives the audited-cost artifact
+# BENCH_PR10.json byte for byte, pipes `mpcgraph gen` into `mpcgraph solve`
 # for one scenario per problem, boots a real mpcgraphd daemon and proves
 # the deterministic result cache serves bit-identical hits for every
 # problem before draining it with SIGTERM, SIGKILLs a daemon mid-queue
@@ -18,7 +18,7 @@
 # discipline, and error hygiene over typed ASTs, tests included.
 #
 # Targets:
-#   make ci         - fmt + vet + lint + race tests + fuzz/benchmark/registry/CLI/service/scale/docs smoke
+#   make ci         - fmt + vet + lint + race tests + fuzz/benchmark/registry/audit/CLI/service/scale/docs smoke
 #   make fmt        - fail if any file needs gofmt
 #   make lint       - static-analysis suite (internal/analysis), tests included
 #   make lint-fast  - same suite, production files only (no test files)
@@ -31,7 +31,9 @@
 #   make tables     - regenerate the experiment tables (text) at quick scale
 #   make json       - machine-readable experiment rows (BENCH_*.json input)
 #   make bench-json - run the smoke sweep with -json and write BENCH_PR10.json
-#   make list-smoke - mpcbench -list + registry/benchmark coverage check
+#   make audit-check - fail unless the smoke sweep reproduces BENCH_PR10.json
+#                     byte for byte
+#   make list-smoke - mpcgraph list + registry/benchmark coverage check
 #   make cli-smoke  - mpcgraph gen|solve pipe, one scenario per problem
 #   make service-smoke - boot mpcgraphd, one job per problem, cache-hit
 #                     bit-identity, metrics, graceful SIGTERM drain,
@@ -50,9 +52,9 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: ci fmt vet lint lint-fast test race cover bench bench-smoke bench-json fuzz-smoke list-smoke cli-smoke service-smoke chaos-smoke scale-smoke scale-smoke-short scale allocs-guard docs-check tables json
+.PHONY: ci fmt vet lint lint-fast test race cover bench bench-smoke bench-json audit-check fuzz-smoke list-smoke cli-smoke service-smoke chaos-smoke scale-smoke scale-smoke-short scale allocs-guard docs-check tables json
 
-ci: fmt vet lint race cover allocs-guard fuzz-smoke bench-smoke list-smoke cli-smoke service-smoke chaos-smoke scale-smoke-short docs-check
+ci: fmt vet lint race cover allocs-guard fuzz-smoke bench-smoke audit-check list-smoke cli-smoke service-smoke chaos-smoke scale-smoke-short docs-check
 
 fmt:
 	@unformatted="$$(gofmt -l .)"; \
@@ -106,7 +108,15 @@ bench-smoke:
 # audited costs (BENCH_PR4.json and BENCH_PR9.json are the retained
 # earlier snapshots). Regenerate after any intentional cost change.
 bench-json:
-	$(GO) run ./cmd/mpcbench -quick -trials 1 -json > BENCH_PR10.json
+	$(GO) run ./cmd/mpcgraph bench -quick -trials 1 -json > BENCH_PR10.json
+
+# The audited-cost gate: the same sweep as bench-json, compared byte for
+# byte against the committed artifact, so an unrecorded cost change
+# fails pre-merge instead of surfacing at the next regeneration.
+audit-check:
+	@tmp="$$(mktemp)"; trap 'rm -f "$$tmp"' EXIT; \
+	$(GO) run ./cmd/mpcgraph bench -quick -trials 1 -json > "$$tmp" && \
+	cmp "$$tmp" BENCH_PR10.json && echo "audit-check: BENCH_PR10.json reproduced"
 
 # Short-run fuzz smoke of the structured graph readers, so the strict
 # parse/error grammars of docs/formats.md stay exercised pre-merge
@@ -118,8 +128,8 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzReadMatrixMarket -fuzztime=3s ./internal/graphio/
 
 list-smoke:
-	$(GO) run ./cmd/mpcbench -list
-	$(GO) run ./cmd/mpcbench -check
+	$(GO) run ./cmd/mpcgraph list
+	$(GO) run ./cmd/mpcgraph bench -check
 
 # One gen|solve pipe per problem, each through a different scenario and
 # on-disk format, so the whole (catalog, format, registry) surface stays
@@ -181,7 +191,7 @@ docs-check:
 	$(GO) run ./internal/tools/readmecheck README.md docs/service.md
 
 tables:
-	$(GO) run ./cmd/mpcbench -quick -trials 1
+	$(GO) run ./cmd/mpcgraph bench -quick -trials 1
 
 json:
-	$(GO) run ./cmd/mpcbench -quick -trials 1 -json
+	$(GO) run ./cmd/mpcgraph bench -quick -trials 1 -json

@@ -10,9 +10,9 @@ import (
 	"mpcgraph/internal/registry"
 )
 
-// runBench regenerates the experiment tables through the same harness as
-// the mpcbench command; the flag set mirrors mpcbench so trajectories
-// migrate by replacing "mpcbench" with "mpcgraph bench".
+// runBench regenerates the experiment tables (E1..E18) through the
+// internal/bench harness; -json emits the rows behind the BENCH_*.json
+// artifacts.
 func runBench(args []string, env Env) error {
 	fs := flag.NewFlagSet("mpcgraph bench", flag.ContinueOnError)
 	fs.SetOutput(env.Stderr)

@@ -3,12 +3,14 @@ package cli
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"mpcgraph/internal/bench"
 	"mpcgraph/internal/graphio"
 	"mpcgraph/internal/registry"
 	"mpcgraph/internal/scenario"
@@ -21,30 +23,53 @@ func testEnv(stdin string) (Env, *bytes.Buffer, *bytes.Buffer) {
 	return Env{Stdin: strings.NewReader(stdin), Stdout: &out, Stderr: &errBuf}, &out, &errBuf
 }
 
+// TestListEnumeratesEveryRegistry: list shows every registered
+// (Problem, Model) pair, scenario, format and experiment id, so new
+// entries surface in the CLI without code changes here.
 func TestListEnumeratesEveryRegistry(t *testing.T) {
 	env, out, _ := testEnv("")
 	if err := Run([]string{"list"}, env); err != nil {
 		t.Fatal(err)
 	}
 	text := out.String()
-	for _, pair := range registry.Pairs() {
-		if !strings.Contains(text, pair.String()) {
-			t.Errorf("list missing algorithm %s", pair)
+	t.Run("algorithms", func(t *testing.T) {
+		if !strings.Contains(text, "algorithms ") {
+			t.Fatalf("list missing algorithms section:\n%s", text)
 		}
-	}
-	for _, name := range scenario.Names() {
-		if !strings.Contains(text, name) {
-			t.Errorf("list missing scenario %s", name)
+		pairs := registry.Pairs()
+		if len(pairs) == 0 {
+			t.Fatal("registry is empty")
 		}
-	}
-	for _, f := range graphio.Formats() {
-		if !strings.Contains(text, f.String()) {
-			t.Errorf("list missing format %s", f)
+		for _, pair := range pairs {
+			if !strings.Contains(text, "  "+pair.String()+"\n") {
+				t.Errorf("list missing algorithm %s", pair)
+			}
 		}
-	}
-	if !strings.Contains(text, "E18") {
-		t.Error("list missing experiment index")
-	}
+	})
+	t.Run("scenarios", func(t *testing.T) {
+		for _, name := range scenario.Names() {
+			if !strings.Contains(text, name) {
+				t.Errorf("list missing scenario %s", name)
+			}
+		}
+	})
+	t.Run("formats", func(t *testing.T) {
+		for _, f := range graphio.Formats() {
+			if !strings.Contains(text, f.String()) {
+				t.Errorf("list missing format %s", f)
+			}
+		}
+	})
+	t.Run("experiments", func(t *testing.T) {
+		if !strings.Contains(text, "experiments ") {
+			t.Fatalf("list missing experiments section:\n%s", text)
+		}
+		for _, id := range bench.IDs() {
+			if !strings.Contains(text, "  "+id+"\n") {
+				t.Errorf("list missing experiment %s", id)
+			}
+		}
+	})
 }
 
 func TestGenThenSolveFile(t *testing.T) {
@@ -165,17 +190,52 @@ func TestSolveTraceStreams(t *testing.T) {
 }
 
 func TestBenchSubcommand(t *testing.T) {
-	env, _, _ := testEnv("")
-	if err := Run([]string{"bench", "-experiment", "E3", "-quick", "-trials", "1"}, env); err != nil {
-		t.Fatal(err)
+	hasE3 := func(t *testing.T, out string) {
+		if !strings.Contains(out, "== E3:") {
+			t.Errorf("E3 table missing:\n%s", out)
+		}
 	}
-	env2, out, _ := testEnv("")
-	if err := Run([]string{"bench", "-experiment", "E3", "-quick", "-trials", "1", "-json"}, env2); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		args  []string
+		check func(t *testing.T, out string)
+	}{
+		{name: "text", args: []string{"-experiment", "E3"}, check: hasE3},
+		{name: "json", args: []string{"-experiment", "E3", "-json"}, check: func(t *testing.T, out string) {
+			var tab map[string]any
+			if err := json.Unmarshal([]byte(out), &tab); err != nil {
+				t.Errorf("bench -json emitted bad JSON: %v", err)
+			}
+		}},
+		{name: "id-list", args: []string{"-experiment", "E3, E17"}, check: func(t *testing.T, out string) {
+			if !strings.Contains(out, "== E3:") || !strings.Contains(out, "== E17:") {
+				t.Errorf("comma-separated ids did not run both experiments:\n%s", out)
+			}
+		}},
+		{name: "registry-sweep", args: []string{"-experiment", "E18"}, check: func(t *testing.T, out string) {
+			for _, pair := range registry.Pairs() {
+				if !strings.Contains(out, "   "+pair.String()+" ") {
+					t.Errorf("registry sweep missing algorithm %s:\n%s", pair, out)
+				}
+			}
+		}},
+		{name: "workers-1", args: []string{"-experiment", "E3", "-workers", "1"}, check: hasE3},
+		{name: "check", args: []string{"-check"}, check: func(t *testing.T, out string) {
+			want := fmt.Sprintf("registry coverage ok: %d algorithms benchmarked", len(registry.Pairs()))
+			if !strings.Contains(out, want) {
+				t.Errorf("bench -check output missing %q:\n%s", want, out)
+			}
+		}},
 	}
-	var tab map[string]any
-	if err := json.Unmarshal(out.Bytes(), &tab); err != nil {
-		t.Fatalf("bench -json emitted bad JSON: %v", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			env, out, _ := testEnv("")
+			args := append([]string{"bench", "-quick", "-trials", "1"}, tc.args...)
+			if err := Run(args, env); err != nil {
+				t.Fatal(err)
+			}
+			tc.check(t, out.String())
+		})
 	}
 }
 
@@ -216,27 +276,29 @@ func TestWeightedFormatMatrix(t *testing.T) {
 
 func TestErrors(t *testing.T) {
 	cases := map[string][]string{
-		"no-command":           {},
-		"unknown-command":      {"frobnicate"},
-		"unknown-problem":      {"solve", "-problem", "tsp", "-scenario", "gnp"},
-		"unknown-model":        {"solve", "-problem", "mis", "-model", "pram", "-scenario", "gnp"},
-		"no-instance":          {"solve", "-problem", "mis"},
-		"both-sources":         {"solve", "-problem", "mis", "-scenario", "gnp", "-in", "x.el"},
-		"stdin-needs-format":   {"solve", "-problem", "mis", "-in", "-"},
-		"weighted-on-plain":    {"solve", "-problem", "weighted-matching", "-scenario", "gnp", "-n", "100"},
-		"unweighted-pair":      {"solve", "-problem", "weighted-matching", "-model", "congested-clique", "-scenario", "weighted-gnp", "-n", "100"},
-		"unknown-scenario":     {"gen", "-scenario", "nope", "-out", "-", "-format", "el"},
-		"gen-missing-out":      {"gen", "-scenario", "gnp"},
-		"gen-stdout-no-format": {"gen", "-scenario", "gnp", "-out", "-"},
-		"gen-weighted-to-el":   {"gen", "-scenario", "weighted-gnp", "-n", "60", "-out", "-", "-format", "el"},
-		"gen-plain-to-wel":     {"gen", "-scenario", "gnp", "-n", "60", "-out", "-", "-format", "wel"},
-		"bad-param":            {"gen", "-scenario", "gnp", "-param", "p", "-out", "-", "-format", "el"},
-		"json-solution-stdout": {"solve", "-problem", "mis", "-scenario", "gnp", "-n", "100", "-json", "-solution", "-"},
-		"unknown-param":        {"gen", "-scenario", "gnp", "-param", "zzz=3", "-out", "-", "-format", "el"},
-		"bad-format":           {"solve", "-problem", "mis", "-in", "-", "-format", "csv"},
-		"positional-junk":      {"solve", "-problem", "mis", "-scenario", "gnp", "extra"},
-		"missing-file":         {"solve", "-problem", "mis", "-in", "/nonexistent/g.el"},
-		"bench-unknown":        {"bench", "-experiment", "E99"},
+		"no-command":            {},
+		"unknown-command":       {"frobnicate"},
+		"unknown-problem":       {"solve", "-problem", "tsp", "-scenario", "gnp"},
+		"unknown-model":         {"solve", "-problem", "mis", "-model", "pram", "-scenario", "gnp"},
+		"no-instance":           {"solve", "-problem", "mis"},
+		"both-sources":          {"solve", "-problem", "mis", "-scenario", "gnp", "-in", "x.el"},
+		"stdin-needs-format":    {"solve", "-problem", "mis", "-in", "-"},
+		"weighted-on-plain":     {"solve", "-problem", "weighted-matching", "-scenario", "gnp", "-n", "100"},
+		"unweighted-pair":       {"solve", "-problem", "weighted-matching", "-model", "congested-clique", "-scenario", "weighted-gnp", "-n", "100"},
+		"unknown-scenario":      {"gen", "-scenario", "nope", "-out", "-", "-format", "el"},
+		"gen-missing-out":       {"gen", "-scenario", "gnp"},
+		"gen-stdout-no-format":  {"gen", "-scenario", "gnp", "-out", "-"},
+		"gen-weighted-to-el":    {"gen", "-scenario", "weighted-gnp", "-n", "60", "-out", "-", "-format", "el"},
+		"gen-plain-to-wel":      {"gen", "-scenario", "gnp", "-n", "60", "-out", "-", "-format", "wel"},
+		"bad-param":             {"gen", "-scenario", "gnp", "-param", "p", "-out", "-", "-format", "el"},
+		"json-solution-stdout":  {"solve", "-problem", "mis", "-scenario", "gnp", "-n", "100", "-json", "-solution", "-"},
+		"unknown-param":         {"gen", "-scenario", "gnp", "-param", "zzz=3", "-out", "-", "-format", "el"},
+		"bad-format":            {"solve", "-problem", "mis", "-in", "-", "-format", "csv"},
+		"positional-junk":       {"solve", "-problem", "mis", "-scenario", "gnp", "extra"},
+		"missing-file":          {"solve", "-problem", "mis", "-in", "/nonexistent/g.el"},
+		"bench-unknown":         {"bench", "-experiment", "E99"},
+		"bench-unknown-in-list": {"bench", "-quick", "-trials", "1", "-experiment", "E3,E99"},
+		"bench-bad-flag":        {"bench", "-bogus"},
 	}
 	for name, args := range cases {
 		t.Run(name, func(t *testing.T) {

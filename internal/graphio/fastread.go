@@ -18,8 +18,8 @@ import (
 // (edge list and weighted edge list): a chunk-parallel byte-level
 // scanner replacing bufio.Scanner + strings.Fields + strconv on the
 // per-edge path. The contract is strict parity with the scanner-based
-// readers (readEdgeListScanner, readWELScanner, kept as the reference
-// implementation): identical parse results and byte-identical error
+// reference readers (readEdgeListScanner, readWELScanner, kept in
+// reference_test.go): identical parse results and byte-identical error
 // strings on every input, pinned by the parity suite and the fuzz
 // harnesses.
 //

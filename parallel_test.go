@@ -1,6 +1,7 @@
 package mpcgraph_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -32,96 +33,50 @@ func detGraphs(seed uint64) map[string]*mpcgraph.Graph {
 // workerSweep is the set of Workers values compared against Workers: 1.
 var workerSweep = []int{0, 2, 5}
 
-func TestMISDeterministicAcrossWorkers(t *testing.T) {
-	for _, seed := range []uint64{3, 2018} {
-		for name, g := range detGraphs(seed) {
-			want, err := mpcgraph.MIS(g, mpcgraph.Options{Seed: seed, Workers: 1})
-			if err != nil {
-				t.Fatalf("%s: sequential MIS: %v", name, err)
-			}
-			for _, w := range workerSweep {
-				got, err := mpcgraph.MIS(g, mpcgraph.Options{Seed: seed, Workers: w})
-				if err != nil {
-					t.Fatalf("%s workers=%d: %v", name, w, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s seed=%d: MIS with Workers=%d diverged from Workers=1", name, seed, w)
-				}
-			}
-		}
+// TestSolveDeterministicAcrossWorkers compares whole Reports — payload,
+// every audited cost and the per-stage breakdown — against the
+// Workers: 1 run; only the host wall time is excluded.
+func TestSolveDeterministicAcrossWorkers(t *testing.T) {
+	oneGraph := func(uint64) map[string]*mpcgraph.Graph {
+		return map[string]*mpcgraph.Graph{"gnp-1500": mpcgraph.RandomGraph(1500, 8.0/1500, 5)}
 	}
-}
-
-func TestCliqueMISDeterministicAcrossWorkers(t *testing.T) {
-	for name, g := range detGraphs(7) {
-		want, err := mpcgraph.MISCongestedClique(g, mpcgraph.Options{Seed: 7, Workers: 1})
+	cases := []struct {
+		name    string
+		problem mpcgraph.Problem
+		model   mpcgraph.Model
+		seeds   []uint64
+		graphs  func(seed uint64) map[string]*mpcgraph.Graph
+	}{
+		{"mis", mpcgraph.ProblemMIS, mpcgraph.ModelMPC, []uint64{3, 2018}, detGraphs},
+		{"mis-clique", mpcgraph.ProblemMIS, mpcgraph.ModelCongestedClique, []uint64{7}, detGraphs},
+		{"approx-matching", mpcgraph.ProblemApproxMatching, mpcgraph.ModelMPC, []uint64{11, 99}, detGraphs},
+		{"vertex-cover", mpcgraph.ProblemVertexCover, mpcgraph.ModelMPC, []uint64{23}, detGraphs},
+		{"one-plus-eps", mpcgraph.ProblemOnePlusEpsMatching, mpcgraph.ModelMPC, []uint64{5}, oneGraph},
+	}
+	solve := func(t *testing.T, g *mpcgraph.Graph, p mpcgraph.Problem, opts mpcgraph.Options) *mpcgraph.Report {
+		t.Helper()
+		rep, err := mpcgraph.Solve(context.Background(), g, p, opts)
 		if err != nil {
-			t.Fatalf("%s: sequential clique MIS: %v", name, err)
+			t.Fatalf("workers=%d: %v", opts.Workers, err)
 		}
-		for _, w := range workerSweep {
-			got, err := mpcgraph.MISCongestedClique(g, mpcgraph.Options{Seed: 7, Workers: w})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, w, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: clique MIS with Workers=%d diverged from Workers=1", name, w)
-			}
-		}
+		rep.Wall = 0
+		return rep
 	}
-}
-
-func TestMatchingDeterministicAcrossWorkers(t *testing.T) {
-	for _, seed := range []uint64{11, 99} {
-		for name, g := range detGraphs(seed) {
-			want, err := mpcgraph.ApproxMaxMatching(g, mpcgraph.Options{Seed: seed, Workers: 1})
-			if err != nil {
-				t.Fatalf("%s: sequential matching: %v", name, err)
-			}
-			for _, w := range workerSweep {
-				got, err := mpcgraph.ApproxMaxMatching(g, mpcgraph.Options{Seed: seed, Workers: w})
-				if err != nil {
-					t.Fatalf("%s workers=%d: %v", name, w, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s seed=%d: matching with Workers=%d diverged from Workers=1", name, seed, w)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, seed := range tc.seeds {
+				for name, g := range tc.graphs(seed) {
+					opts := mpcgraph.Options{Seed: seed, Model: tc.model, Workers: 1}
+					want := solve(t, g, tc.problem, opts)
+					for _, w := range workerSweep {
+						opts.Workers = w
+						if got := solve(t, g, tc.problem, opts); !reflect.DeepEqual(got, want) {
+							t.Errorf("%s seed=%d: Workers=%d diverged from Workers=1", name, seed, w)
+						}
+					}
 				}
 			}
-		}
-	}
-}
-
-func TestVertexCoverDeterministicAcrossWorkers(t *testing.T) {
-	for name, g := range detGraphs(23) {
-		want, err := mpcgraph.ApproxMinVertexCover(g, mpcgraph.Options{Seed: 23, Workers: 1})
-		if err != nil {
-			t.Fatalf("%s: sequential cover: %v", name, err)
-		}
-		for _, w := range workerSweep {
-			got, err := mpcgraph.ApproxMinVertexCover(g, mpcgraph.Options{Seed: 23, Workers: w})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, w, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: cover with Workers=%d diverged from Workers=1", name, w)
-			}
-		}
-	}
-}
-
-func TestOnePlusEpsDeterministicAcrossWorkers(t *testing.T) {
-	g := mpcgraph.RandomGraph(1500, 8.0/1500, 5)
-	want, err := mpcgraph.OnePlusEpsMatching(g, mpcgraph.Options{Seed: 5, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range workerSweep {
-		got, err := mpcgraph.OnePlusEpsMatching(g, mpcgraph.Options{Seed: 5, Workers: w})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("1+eps matching with Workers=%d diverged from Workers=1", w)
-		}
+		})
 	}
 }
 
@@ -171,8 +126,9 @@ func graphEqual(a, b *mpcgraph.Graph) bool {
 
 func ExampleOptions_workers() {
 	g := mpcgraph.RandomGraph(512, 0.05, 1)
-	seq, _ := mpcgraph.MIS(g, mpcgraph.Options{Seed: 9, Workers: 1})
-	all, _ := mpcgraph.MIS(g, mpcgraph.Options{Seed: 9, Workers: 0})
+	seq, _ := mpcgraph.Solve(context.Background(), g, mpcgraph.ProblemMIS, mpcgraph.Options{Seed: 9, Workers: 1})
+	all, _ := mpcgraph.Solve(context.Background(), g, mpcgraph.ProblemMIS, mpcgraph.Options{Seed: 9, Workers: 0})
+	seq.Wall, all.Wall = 0, 0 // host time is the one field Workers may change
 	fmt.Println(reflect.DeepEqual(seq, all))
 	// Output: true
 }
