@@ -41,7 +41,7 @@
 //	   simulated rounds)
 //	6  a retryable daemon rejection (HTTP 429 queue-full / 503
 //	   draining) outlasted `submit -retries`/`-retry-budget`
-//	   (cli.ErrRetriesExhausted — the daemon is saturated, retry
+//	   (client.ErrRetriesExhausted — the daemon is saturated, retry
 //	   later with coarser pacing)
 package main
 
@@ -53,6 +53,7 @@ import (
 
 	"mpcgraph"
 	"mpcgraph/internal/cli"
+	"mpcgraph/internal/client"
 )
 
 func main() {
@@ -79,7 +80,7 @@ func exitCode(err error) int {
 		return 4
 	case errors.Is(err, context.DeadlineExceeded):
 		return 5
-	case errors.Is(err, cli.ErrRetriesExhausted):
+	case errors.Is(err, client.ErrRetriesExhausted):
 		return 6
 	}
 	return 1

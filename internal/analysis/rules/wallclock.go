@@ -18,11 +18,11 @@ import (
 // only to form monotonic durations — histogram observations and the
 // logger's seconds-since-start field; never a wall-clock timestamp,
 // see the obs package doc for the contract).
-// Package cli is deliberately NOT allowed: the client's retry budget is
-// the sum of planned sleeps (internal/cli/backoff.go), not measured
-// elapsed time, which keeps retry exhaustion reproducible — and
-// `mpcgraph top` computes rates over its nominal -interval for the same
-// reason.
+// Packages cli and client are deliberately NOT allowed: the client's
+// retry budget is the sum of planned sleeps (internal/client/backoff.go),
+// not measured elapsed time, which keeps retry exhaustion reproducible —
+// and `mpcgraph top` computes rates over its nominal -interval for the
+// same reason.
 func wallClockAllowed(pass *analysis.Pass) bool {
 	if pass.Pkg.Name() == "main" {
 		return true

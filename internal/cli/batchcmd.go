@@ -1,18 +1,17 @@
 package cli
 
 import (
-	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"strconv"
 	"strings"
 	"time"
 
 	"mpcgraph"
+	"mpcgraph/internal/client"
 	"mpcgraph/internal/service"
 )
 
@@ -62,18 +61,24 @@ func runBatch(args []string, env Env) error {
 		return fmt.Errorf("unexpected arguments %v", fs.Args())
 	}
 
+	c := client.New(*server)
+	ctx := context.Background()
 	switch {
 	case *cancelID != "":
-		view, err := cancelBatch(*server, *cancelID)
-		return printBatchJSON(env, view, err)
-	case *statusID != "" && !*stream:
-		body, err := getJSON(*server, "/v1/batches/"+*statusID)
+		view, err := c.CancelBatch(ctx, *cancelID)
 		if err != nil {
 			return err
 		}
-		return printRaw(env, body)
+		return printJSON(env, view)
+	case *statusID != "" && !*stream:
+		body, err := c.Get(ctx, "/v1/batches/"+*statusID)
+		if err != nil {
+			return err
+		}
+		_, err = env.Stdout.Write(body)
+		return err
 	case *statusID != "": // -status ID -stream: follow an existing batch
-		return streamBatch(env, *server, *statusID)
+		return streamBatch(ctx, env, c, *statusID)
 	}
 
 	req, seedFrom, err := buildBatchRequest(env, fs, *specPath, *scenarios, *n, *seeds, *problems, *modelName,
@@ -82,44 +87,29 @@ func runBatch(args []string, env Env) error {
 		return err
 	}
 
-	// Submission retry loop. Batches are admitted whole or rejected
-	// whole: the feeder applies queue backpressure server-side, so the
-	// only retryable rejection is 503 (draining behind a balancer).
-	bo := newBackoff(seedFrom, "batch-submit", 100*time.Millisecond, 5*time.Second, *retries, *retryBudget)
-	var view *service.BatchView
-	for {
-		view, err = postBatch(*server, req)
-		if err == nil {
-			break
-		}
-		var he *httpError
-		if !errors.As(err, &he) || !he.retryable() {
-			return err
-		}
-		delay, ok := bo.next(he.retryAfter)
-		if !ok {
-			return fmt.Errorf("batch: %v: %w after %d attempts", err, ErrRetriesExhausted, bo.attempts+1)
-		}
-		fmt.Fprintf(env.Stderr, "mpcgraph: batch rejected (%d), retrying in %v\n", he.status, delay.Round(time.Millisecond))
-		time.Sleep(delay)
+	// Batches are admitted whole or rejected whole: the feeder applies
+	// queue backpressure server-side, so the only retryable rejection
+	// is 503 (draining behind a balancer).
+	view, err := c.SubmitBatch(ctx, req, client.Retry{
+		Seed: seedFrom, Purpose: "batch-submit", Op: "batch",
+		Max: *retries, Budget: *retryBudget, Log: env.Stderr,
+	})
+	if err != nil {
+		return err
 	}
 
 	switch {
 	case *stream:
-		return streamBatch(env, *server, view.ID)
+		return streamBatch(ctx, env, c, view.ID)
 	case *wait:
-		view, err = waitBatch(*server, view.ID, seedFrom)
-		if err != nil {
+		if view, err = c.WaitBatch(ctx, view.ID, seedFrom); err != nil {
 			return err
 		}
 	}
-	if err := printBatchJSON(env, view, nil); err != nil {
+	if err := printJSON(env, view); err != nil {
 		return err
 	}
-	if view.Counts.Failed > 0 {
-		return fmt.Errorf("batch %s: %d member job(s) failed", view.ID, view.Counts.Failed)
-	}
-	return nil
+	return failedMembers(view)
 }
 
 // buildBatchRequest assembles the wire request from -spec or the sweep
@@ -215,149 +205,22 @@ func parseSeedRange(s string) (from, to uint64, err error) {
 	return from, to, nil
 }
 
-// postBatch submits the batch and decodes the admission view.
-func postBatch(server string, req *service.BatchRequest) (*service.BatchView, error) {
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := http.Post(strings.TrimSuffix(server, "/")+"/v1/batches", "application/json", bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	return decodeBatchResponse(resp, "batch")
-}
-
-// cancelBatch cancels the remainder of a batch (idempotent).
-func cancelBatch(server, id string) (*service.BatchView, error) {
-	req, err := http.NewRequest(http.MethodDelete, strings.TrimSuffix(server, "/")+"/v1/batches/"+id, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	return decodeBatchResponse(resp, "cancel")
-}
-
-func decodeBatchResponse(resp *http.Response, op string) (*service.BatchView, error) {
-	defer resp.Body.Close()
-	body, err := readAllBody(resp)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode/100 != 2 {
-		return nil, &httpError{
-			status:     resp.StatusCode,
-			retryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
-			msg:        fmt.Sprintf("%s: %s: %s", op, resp.Status, serverError(body)),
-		}
-	}
-	var view service.BatchView
-	if err := json.Unmarshal(body, &view); err != nil {
-		return nil, fmt.Errorf("%s: bad response: %v", op, err)
-	}
-	return &view, nil
-}
-
-// waitBatch polls the batch view until every member settles, pacing
-// like waitJob: jittered backoff from 20ms toward a 1s cap, tolerating
-// a bounded run of retryable errors from a proxy.
-func waitBatch(server, id string, seed uint64) (*service.BatchView, error) {
-	pace := newBackoff(seed, "batch-poll", 20*time.Millisecond, time.Second, int(^uint(0)>>1), 0)
-	consecutive := 0
-	for {
-		body, err := getJSON(server, "/v1/batches/"+id)
-		var retryAfter time.Duration
-		if err != nil {
-			var he *httpError
-			if !errors.As(err, &he) || !he.retryable() {
-				return nil, err
-			}
-			consecutive++
-			if consecutive > 10 {
-				return nil, fmt.Errorf("batch wait: %v: %w", err, ErrRetriesExhausted)
-			}
-			retryAfter = he.retryAfter
-		} else {
-			consecutive = 0
-			var view service.BatchView
-			if err := json.Unmarshal(body, &view); err != nil {
-				return nil, fmt.Errorf("batch wait: bad response: %v", err)
-			}
-			if view.State == "done" {
-				return &view, nil
-			}
-		}
-		delay, _ := pace.next(retryAfter)
-		time.Sleep(delay)
-	}
-}
-
-// streamBatch follows GET /v1/batches/{id}/stream, copying the NDJSON
-// per-job completion lines through to stdout until the final done
-// marker. The final line carries the aggregate batch view; a batch
-// with failed members exits non-zero after the full stream has been
-// relayed.
-func streamBatch(env Env, server, id string) error {
-	resp, err := http.Get(strings.TrimSuffix(server, "/") + "/v1/batches/" + id + "/stream")
+// streamBatch relays the batch's NDJSON stream (one line per member
+// completion, then the done marker carrying the aggregate view) to
+// stdout; a batch with failed members exits non-zero after the full
+// stream has been relayed.
+func streamBatch(ctx context.Context, env Env, c *client.Client, id string) error {
+	final, err := c.StreamBatch(ctx, id, env.Stdout)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		body, _ := readAllBody(resp)
-		return &httpError{
-			status: resp.StatusCode,
-			msg:    fmt.Sprintf("stream: %s: %s", resp.Status, serverError(body)),
-		}
-	}
-	var finalBatch *service.BatchView
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		raw := sc.Bytes()
-		if _, err := env.Stdout.Write(append(raw, '\n')); err != nil {
-			return err
-		}
-		// The done marker is the only line whose top-level "batch" is an
-		// object (member lines carry the batch id as a string, so they
-		// fail this decode and fall through).
-		var line struct {
-			Done  bool               `json:"done"`
-			Batch *service.BatchView `json:"batch"`
-		}
-		if json.Unmarshal(raw, &line) == nil && line.Done {
-			finalBatch = line.Batch
-			break
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("stream: %v", err)
-	}
-	if finalBatch != nil && finalBatch.Counts.Failed > 0 {
-		return fmt.Errorf("batch %s: %d member job(s) failed", finalBatch.ID, finalBatch.Counts.Failed)
+	return failedMembers(final)
+}
+
+// failedMembers fails a settled batch with failed members.
+func failedMembers(view *service.BatchView) error {
+	if view != nil && view.Counts.Failed > 0 {
+		return fmt.Errorf("batch %s: %d member job(s) failed", view.ID, view.Counts.Failed)
 	}
 	return nil
-}
-
-func readAllBody(resp *http.Response) ([]byte, error) {
-	var buf bytes.Buffer
-	_, err := buf.ReadFrom(resp.Body)
-	return buf.Bytes(), err
-}
-
-func printBatchJSON(env Env, view *service.BatchView, err error) error {
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(env.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(view)
-}
-
-func printRaw(env Env, body []byte) error {
-	_, err := env.Stdout.Write(body)
-	return err
 }

@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/base64"
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 	"time"
 
+	"mpcgraph/internal/client"
 	"mpcgraph/internal/graph"
 	"mpcgraph/internal/graphio"
 	"mpcgraph/internal/model"
@@ -39,25 +39,15 @@ func remoteSolver(server string, retries int, retryBudget time.Duration) reg.Sol
 		}
 		// The jitter stream is seeded by the job seed, so one scripted
 		// sweep plans one reproducible delay sequence per cell.
-		bo := newBackoff(opts.Seed, "remote-solve", 100*time.Millisecond, 5*time.Second, retries, retryBudget)
-		var view *service.JobView
-		for {
-			view, err = postJob(server, req)
-			if err == nil {
-				break
-			}
-			var he *httpError
-			if !errors.As(err, &he) || !he.retryable() {
-				return nil, err
-			}
-			delay, ok := bo.next(he.retryAfter)
-			if !ok {
-				return nil, fmt.Errorf("remote solve: %v: %w after %d attempts", err, ErrRetriesExhausted, bo.attempts+1)
-			}
-			time.Sleep(delay)
-		}
-		view, err = waitJob(server, view.ID, opts.Seed)
+		c := client.New(server)
+		view, err := c.SubmitJob(ctx, req, client.Retry{
+			Seed: opts.Seed, Purpose: "remote-solve", Op: "remote solve",
+			Max: retries, Budget: retryBudget,
+		})
 		if err != nil {
+			return nil, err
+		}
+		if view, err = c.WaitJob(ctx, view.ID, opts.Seed); err != nil {
 			return nil, err
 		}
 		if view.State != service.StateDone {
@@ -66,7 +56,7 @@ func remoteSolver(server string, retries int, retryBudget time.Duration) reg.Sol
 		if view.Report == nil {
 			return nil, fmt.Errorf("remote solve: job %s done without a report", view.ID)
 		}
-		solution, err := getJSON(server, "/v1/jobs/"+view.ID+"/solution")
+		solution, err := c.Get(ctx, "/v1/jobs/"+view.ID+"/solution")
 		if err != nil {
 			return nil, err
 		}

@@ -1,32 +1,28 @@
 package cli
 
 import (
+	"context"
 	"encoding/json"
-	"strconv"
 	"strings"
 	"testing"
 
+	"mpcgraph/internal/client"
 	"mpcgraph/internal/service"
 )
 
-// fetchMetric scrapes one gauge/counter from the daemon's /metrics.
+// fetchMetric reads one unlabeled gauge/counter from the daemon's
+// /metrics.
 func fetchMetric(t *testing.T, server, name string) float64 {
 	t.Helper()
-	body, err := getJSON(server, "/metrics")
+	exp, err := client.New(server).Metrics(context.Background())
 	if err != nil {
 		t.Fatalf("metrics: %v", err)
 	}
-	for _, line := range strings.Split(string(body), "\n") {
-		if rest, ok := strings.CutPrefix(line, name+" "); ok {
-			v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
-			if err != nil {
-				t.Fatalf("metric %s: bad value %q", name, rest)
-			}
-			return v
-		}
+	v, ok := exp.Value(name)
+	if !ok {
+		t.Fatalf("metric %s not found", name)
 	}
-	t.Fatalf("metric %s not found", name)
-	return 0
+	return v
 }
 
 // TestRemoteBenchBitIdentical is the acceptance gate of `mpcgraph bench

@@ -150,6 +150,23 @@ func TestSubmitFlagErrors(t *testing.T) {
 	}
 }
 
+// awaitLine polls the serve goroutine's stdout (~10s) for the line
+// starting with prefix and returns the rest of it: the address serve
+// printed after binding.
+func awaitLine(t *testing.T, stdout, stderr *syncBuffer, prefix string) string {
+	t.Helper()
+	for attempt := 0; attempt < 2000; attempt++ {
+		for _, line := range strings.Split(stdout.String(), "\n") {
+			if rest, ok := strings.CutPrefix(line, prefix); ok {
+				return strings.TrimSpace(rest)
+			}
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatalf("serve never printed %q (stderr: %s)", prefix, stderr.String())
+	return ""
+}
+
 // TestServeLifecycle boots the real serve subcommand on an ephemeral
 // port, submits one job through the client subcommand, then drains it
 // with SIGTERM — the exact path cmd/mpcgraphd ships.
@@ -168,17 +185,7 @@ func TestServeLifecycle(t *testing.T) {
 			Env{Stdin: strings.NewReader(""), Stdout: &stdout, Stderr: &stderr})
 	}()
 
-	var url string
-	for attempt := 0; url == "" && attempt < 2000; attempt++ { // ~10s
-		if line := stdout.String(); strings.Contains(line, "listening on ") {
-			url = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(line), "mpcgraphd listening on "))
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if url == "" {
-		t.Fatalf("serve never printed its address (stderr: %s)", stderr.String())
-	}
+	url := awaitLine(t, &stdout, &stderr, "mpcgraphd listening on ")
 
 	out, _, err := runCLI(t,
 		"submit", "-server", url, "-problem", "approx-matching",
@@ -224,20 +231,7 @@ func TestServePprof(t *testing.T) {
 			Env{Stdin: strings.NewReader(""), Stdout: &stdout, Stderr: &stderr})
 	}()
 
-	var pprofURL string
-	for attempt := 0; pprofURL == "" && attempt < 2000; attempt++ { // ~10s
-		for _, line := range strings.Split(stdout.String(), "\n") {
-			if rest, ok := strings.CutPrefix(line, "mpcgraphd pprof on "); ok {
-				pprofURL = strings.TrimSpace(rest)
-			}
-		}
-		if pprofURL == "" {
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	if pprofURL == "" {
-		t.Fatalf("serve never printed the pprof address (stderr: %s)", stderr.String())
-	}
+	pprofURL := awaitLine(t, &stdout, &stderr, "mpcgraphd pprof on ")
 
 	resp, err := http.Get(pprofURL) // the printed URL includes /debug/pprof/
 	if err != nil {
@@ -281,17 +275,7 @@ func TestServeStructuredLogs(t *testing.T) {
 			Env{Stdin: strings.NewReader(""), Stdout: &stdout, Stderr: &stderr})
 	}()
 
-	var url string
-	for attempt := 0; url == "" && attempt < 2000; attempt++ { // ~10s
-		if line := stdout.String(); strings.Contains(line, "listening on ") {
-			url = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(line), "mpcgraphd listening on "))
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if url == "" {
-		t.Fatalf("serve never printed its address (stderr: %s)", stderr.String())
-	}
+	url := awaitLine(t, &stdout, &stderr, "mpcgraphd listening on ")
 
 	out, _, err := runCLI(t,
 		"submit", "-server", url, "-problem", "mis",

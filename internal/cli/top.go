@@ -1,14 +1,16 @@
 package cli
 
 import (
-	"encoding/json"
+	"context"
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"strings"
 	"time"
 
+	"mpcgraph/internal/client"
 	"mpcgraph/internal/obs"
 	"mpcgraph/internal/service"
 )
@@ -45,12 +47,13 @@ func runTop(args []string, env Env) error {
 		return fmt.Errorf("top requires a positive -interval")
 	}
 
+	c := client.New(*server)
 	var prev *topSample
 	for frame := 0; *count <= 0 || frame < *count; frame++ {
 		if frame > 0 {
 			time.Sleep(*interval)
 		}
-		cur, err := scrapeTop(*server, *jobsN)
+		cur, err := scrapeTop(c, *jobsN)
 		if err != nil {
 			return err
 		}
@@ -78,33 +81,17 @@ func (s *topSample) gauge(name string, kv ...string) float64 {
 	return v
 }
 
-// merged folds every series of one histogram family into a single
-// snapshot (valid because every obs histogram shares one bucket
-// layout).
-func (s *topSample) merged(family string) obs.Snapshot {
-	return obs.MergedSnapshot(s.hist[family])
-}
-
-func scrapeTop(server string, jobsN int) (*topSample, error) {
-	raw, err := getJSON(server, "/metrics")
+func scrapeTop(c *client.Client, jobsN int) (*topSample, error) {
+	ctx := context.Background()
+	exp, err := c.Metrics(ctx)
 	if err != nil {
 		return nil, err
 	}
-	exp, err := obs.ParseExposition(strings.NewReader(string(raw)))
-	if err != nil {
-		return nil, fmt.Errorf("top: bad /metrics exposition: %v", err)
-	}
-	body, err := getJSON(server, fmt.Sprintf("/v1/jobs?limit=%d", max(jobsN, 1)))
+	jobs, err := c.Jobs(ctx, max(jobsN, 1))
 	if err != nil {
 		return nil, err
 	}
-	var list struct {
-		Jobs []*service.JobView `json:"jobs"`
-	}
-	if err := json.Unmarshal(body, &list); err != nil {
-		return nil, fmt.Errorf("top: bad job listing: %v", err)
-	}
-	return &topSample{exp: exp, hist: exp.Histograms(), jobs: list.Jobs}, nil
+	return &topSample{exp: exp, hist: exp.Histograms(), jobs: jobs}, nil
 }
 
 // latencyRow is one family of the percentile table.
@@ -176,16 +163,18 @@ func renderTop(w io.Writer, server string, cur, prev *topSample, interval time.D
 
 	fmt.Fprintf(w, "latency (%s):%17s%12s%12s%12s\n", window, "p50", "p95", "p99", "count")
 	for _, row := range topLatencyRows {
-		snap := cur.merged(row.family)
+		// Every obs histogram shares one bucket layout, so a family's
+		// series fold into one snapshot.
+		snap := obs.MergedSnapshot(cur.hist[row.family])
 		if prev != nil {
-			snap = snap.Sub(prev.merged(row.family))
+			snap = snap.Sub(obs.MergedSnapshot(prev.hist[row.family]))
 		}
 		if snap.Count == 0 {
 			fmt.Fprintf(w, "  %-14s%15s%12s%12s%12d\n", row.label, "-", "-", "-", 0)
 			continue
 		}
 		fmt.Fprintf(w, "  %-14s%15s%12s%12s%12d\n", row.label,
-			formatQuantile(snap, 0.50), formatQuantile(snap, 0.95), formatQuantile(snap, 0.99),
+			formatSeconds(snap.Quantile(0.50)), formatSeconds(snap.Quantile(0.95)), formatSeconds(snap.Quantile(0.99)),
 			snap.Count)
 	}
 
@@ -212,11 +201,8 @@ func renderTop(w io.Writer, server string, cur, prev *topSample, interval time.D
 
 // solvePairs summarizes the window's solve activity per (problem,
 // model) child, busiest first.
-func solvePairs(cur, prev *topSample, limitOpt ...int) []string {
-	limit := 4
-	if len(limitOpt) > 0 {
-		limit = limitOpt[0]
-	}
+func solvePairs(cur, prev *topSample) []string {
+	const limit = 4
 	type pair struct {
 		label string
 		count uint64
@@ -226,7 +212,7 @@ func solvePairs(cur, prev *topSample, limitOpt ...int) []string {
 		snap := series.Snapshot()
 		if prev != nil {
 			for _, prevSeries := range prev.hist["mpcgraphd_solve_seconds"] {
-				if sameLabels(series.Labels, prevSeries.Labels) {
+				if maps.Equal(series.Labels, prevSeries.Labels) {
 					snap = snap.Sub(prevSeries.Snapshot())
 					break
 				}
@@ -237,7 +223,7 @@ func solvePairs(cur, prev *topSample, limitOpt ...int) []string {
 		}
 		pairs = append(pairs, pair{
 			label: fmt.Sprintf("%s/%s %d×%s", series.Labels["problem"], series.Labels["model"],
-				snap.Count, formatQuantile(snap, 0.50)),
+				snap.Count, formatSeconds(snap.Quantile(0.50))),
 			count: snap.Count,
 		})
 	}
@@ -257,24 +243,8 @@ func solvePairs(cur, prev *topSample, limitOpt ...int) []string {
 	return out
 }
 
-func sameLabels(a, b map[string]string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// formatQuantile renders a quantile estimate (seconds) with a unit
+// formatSeconds renders a quantile estimate (seconds) with a unit
 // fitting its magnitude.
-func formatQuantile(s obs.Snapshot, q float64) string {
-	return formatSeconds(s.Quantile(q))
-}
-
 func formatSeconds(v float64) string {
 	switch {
 	case v < 0.001:

@@ -1,4 +1,4 @@
-package cli
+package client
 
 import (
 	"errors"
@@ -13,14 +13,15 @@ import (
 // from a plain failure and apply their own, coarser backoff.
 var ErrRetriesExhausted = errors.New("retries exhausted")
 
-// backoff plans the jittered exponential retry delays of the client
-// subcommands. It follows the repo's determinism discipline: the jitter
-// comes from an internal/rng stream seeded by stable inputs (not
-// math/rand, not the clock), so a replayed invocation plans the exact
-// same delay sequence. The budget is likewise the *sum of planned
-// sleeps*, not elapsed wall time — package cli never reads the wall
-// clock (the no-wall-clock analyzer, docs/analysis.md) — which keeps the exhaustion
-// point reproducible too.
+// backoff plans the jittered exponential retry delays of the client.
+// It follows the repo's determinism discipline: the jitter comes from
+// an internal/rng stream seeded by stable inputs (not math/rand, not
+// the clock), so a replayed invocation plans the exact same delay
+// sequence. The budget is likewise the *sum of planned sleeps*, not
+// elapsed wall time — package client never reads the wall clock (the
+// no-wall-clock analyzer, docs/analysis.md) — which keeps the
+// exhaustion point reproducible too. The stream label keeps its
+// historical "cli-backoff-" prefix so delay sequences are unchanged.
 //
 // Delays double from base to cap with jitter drawn uniformly from
 // [d/2, d), decorrelating clients that were rejected by the same

@@ -232,6 +232,27 @@ type JobView struct {
 	Report  *ReportView  `json:"report,omitempty"`
 }
 
+// Canonical returns a copy of the view with the volatile fields zeroed;
+// what is left is a pure function of the request, so a cold run and
+// every replay of it (cache hit, coalesced rider) agree byte for byte.
+func (v *JobView) Canonical() *JobView {
+	c := *v
+	c.ID = ""
+	c.CacheHit = false
+	c.CacheTier = TierNone // which tier served the replay is operational
+	c.Coalesced = false
+	c.Source = "" // scenario vs upload origin; not part of the result
+	c.CreatedAt, c.StartedAt, c.FinishedAt = "", "", ""
+	c.Timings = nil // lifecycle stamps are operational, never deterministic
+	c.TraceLen = 0  // a cache hit replays the Report, not the trace
+	if c.Report != nil {
+		r := *c.Report
+		r.WallMs = 0
+		c.Report = &r
+	}
+	return &c
+}
+
 // ReportView is the wire rendering of a Report: the audited costs, the
 // solution summary, and an FNV-1a fingerprint of the full solution
 // payload (the same hash the golden suite pins), so bit-identity of a

@@ -69,7 +69,7 @@ func TestCoalescedFollowerSharesLeaderResult(t *testing.T) {
 	if lv.State != StateDone || fv.State != StateDone {
 		t.Fatalf("states %s/%s, want done/done", lv.State, fv.State)
 	}
-	if !bytes.Equal(mustJSON(t, stripVolatile(lv)), mustJSON(t, stripVolatile(fv))) {
+	if !bytes.Equal(mustJSON(t, lv.Canonical()), mustJSON(t, fv.Canonical())) {
 		t.Errorf("follower result differs from leader result")
 	}
 	s.mu.Lock()
@@ -319,11 +319,11 @@ func TestConcurrentBurstCoalesces(t *testing.T) {
 	if int(coalesces) != followers {
 		t.Errorf("coalesce counter %d, but %d followers", coalesces, followers)
 	}
-	base := mustJSON(t, stripVolatile(views[0]))
+	base := mustJSON(t, views[0].Canonical())
 	for _, v := range views[1:] {
-		if !bytes.Equal(base, mustJSON(t, stripVolatile(v))) {
-			a, _ := json.Marshal(stripVolatile(views[0]))
-			b, _ := json.Marshal(stripVolatile(v))
+		if !bytes.Equal(base, mustJSON(t, v.Canonical())) {
+			a, _ := json.Marshal(views[0].Canonical())
+			b, _ := json.Marshal(v.Canonical())
 			t.Errorf("burst results diverge:\n %s\n %s", a, b)
 		}
 	}

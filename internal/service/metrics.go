@@ -15,6 +15,18 @@ import (
 // /healthz is the liveness/readiness probe — 200 while serving, 503
 // once draining.
 
+// Health is the GET /healthz body (field semantics in docs/service.md,
+// "Operational endpoints").
+type Health struct {
+	Status        string  `json:"status"`
+	UptimeSeconds float64 `json:"uptimeSeconds"`
+	QueueDepth    int     `json:"queueDepth"`
+	Inflight      int     `json:"inflight"`
+	Draining      bool    `json:"draining"`
+	CacheDisk     string  `json:"cacheDisk"`
+	CacheDiskErr  string  `json:"cacheDiskError,omitempty"`
+}
+
 // handleHealthz is GET /healthz.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	queued, inflight := s.snapshotCounts()
@@ -32,15 +44,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			diskErr = st.LastErr
 		}
 	}
-	body := struct {
-		Status        string  `json:"status"`
-		UptimeSeconds float64 `json:"uptimeSeconds"`
-		QueueDepth    int     `json:"queueDepth"`
-		Inflight      int     `json:"inflight"`
-		Draining      bool    `json:"draining"`
-		CacheDisk     string  `json:"cacheDisk"`
-		CacheDiskErr  string  `json:"cacheDiskError,omitempty"`
-	}{
+	body := Health{
 		Status:        "ok",
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		QueueDepth:    queued,

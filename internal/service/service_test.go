@@ -145,26 +145,6 @@ func loadGoldens(t *testing.T) map[string]goldenEntry {
 	return out
 }
 
-// stripVolatile zeroes the only fields allowed to differ between a cold
-// run and its cache-hit replay.
-func stripVolatile(v *JobView) *JobView {
-	c := *v
-	c.ID = ""
-	c.CacheHit = false
-	c.CacheTier = TierNone // which tier served the replay is operational
-	c.Coalesced = false
-	c.Source = "" // scenario vs upload origin; not part of the result
-	c.CreatedAt, c.StartedAt, c.FinishedAt = "", "", ""
-	c.Timings = nil // lifecycle stamps are operational, never deterministic
-	c.TraceLen = 0  // a cache hit replays the Report, not the trace
-	if c.Report != nil {
-		r := *c.Report
-		r.WallMs = 0
-		c.Report = &r
-	}
-	return &c
-}
-
 // TestEveryPairCacheHitBitIdentical is the acceptance criterion: for
 // every registered (problem, model) pair, a cache hit returns a Report
 // bit-identical to the cold run — asserted field by field on the wire
@@ -204,8 +184,8 @@ func TestEveryPairCacheHitBitIdentical(t *testing.T) {
 			if hit.CacheKey != cold.CacheKey {
 				t.Fatalf("cache key changed between identical submissions")
 			}
-			coldJSON, _ := json.Marshal(stripVolatile(cold))
-			hitJSON, _ := json.Marshal(stripVolatile(hit))
+			coldJSON, _ := json.Marshal(cold.Canonical())
+			hitJSON, _ := json.Marshal(hit.Canonical())
 			if !bytes.Equal(coldJSON, hitJSON) {
 				t.Errorf("cache hit is not bit-identical to the cold run:\n cold: %s\n hit:  %s", coldJSON, hitJSON)
 			}
@@ -269,8 +249,8 @@ func TestScenarioAndUploadShareCacheEntries(t *testing.T) {
 		t.Fatalf("upload of the same instance missed the cache (keys %s vs %s)", cold.CacheKey, hit.CacheKey)
 	}
 	if !bytes.Equal(
-		mustJSON(t, stripVolatile(cold)),
-		mustJSON(t, stripVolatile(hit)),
+		mustJSON(t, cold.Canonical()),
+		mustJSON(t, hit.Canonical()),
 	) {
 		t.Errorf("upload cache hit differs from scenario cold run")
 	}
@@ -303,7 +283,7 @@ func TestNoCacheForcesColdRun(t *testing.T) {
 	if second.CacheHit {
 		t.Fatalf("second noCache run reported a cache hit")
 	}
-	if !bytes.Equal(mustJSON(t, stripVolatile(first)), mustJSON(t, stripVolatile(second))) {
+	if !bytes.Equal(mustJSON(t, first.Canonical()), mustJSON(t, second.Canonical())) {
 		t.Errorf("recomputed run differs from first run (determinism violation)")
 	}
 	// noCache skips only the lookup: the results above still refreshed

@@ -28,21 +28,22 @@
 package main
 
 import (
-	"bufio"
+	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
+
+	"mpcgraph/internal/service"
+	"mpcgraph/internal/tools/harness"
 )
 
 func main() {
@@ -64,17 +65,14 @@ func main() {
 // identifies the workload ("gnp-n600-seed7/mis/mpc") and carries
 // everything needed to resubmit it.
 type golden struct {
-	Case            string `json:"case"`
-	Rounds          int    `json:"rounds"`
-	Phases          int    `json:"phases"`
-	MaxMachineWords int64  `json:"maxMachineWords"`
-	TotalWords      int64  `json:"totalWords"`
-	Violations      int    `json:"violations"`
-	SolutionHash    uint64 `json:"solutionHash"`
-	scenario        string // parsed from Case
-	n               int    //
-	seed            uint64 //
-	problem, model  string //
+	Case            string              `json:"case"`
+	Rounds          int                 `json:"rounds"`
+	Phases          int                 `json:"phases"`
+	MaxMachineWords int64               `json:"maxMachineWords"`
+	TotalWords      int64               `json:"totalWords"`
+	Violations      int                 `json:"violations"`
+	SolutionHash    uint64              `json:"solutionHash"`
+	req             *service.JobRequest // parsed from Case
 }
 
 var caseRe = regexp.MustCompile(`^(.+)-n(\d+)-seed(\d+)$`)
@@ -97,22 +95,18 @@ func loadGoldens(path string) ([]golden, error) {
 		if m == nil {
 			return nil, fmt.Errorf("unparseable golden instance %q", parts[0])
 		}
-		entries[i].scenario = m[1]
-		entries[i].n, _ = strconv.Atoi(m[2])
-		entries[i].seed, _ = strconv.ParseUint(m[3], 10, 64)
-		entries[i].problem, entries[i].model = parts[1], parts[2]
+		n, _ := strconv.Atoi(m[2])
+		seed, _ := strconv.ParseUint(m[3], 10, 64)
+		// The solve seed equals the scenario seed, exactly as the golden
+		// suite runs it.
+		entries[i].req = &service.JobRequest{
+			Problem:  parts[1],
+			Model:    parts[2],
+			Scenario: &service.ScenarioRequest{Name: m[1], N: n, Seed: seed},
+			Options:  service.OptionsRequest{Seed: seed},
+		}
 	}
 	return entries, nil
-}
-
-// request renders the case's POST /v1/jobs body; the solve seed equals
-// the scenario seed, exactly as the golden suite runs it.
-func (g *golden) request() string {
-	return fmt.Sprintf(`{
-		"problem": %q, "model": %q,
-		"scenario": {"name": %q, "n": %d, "seed": %d},
-		"options": {"seed": %d}
-	}`, g.problem, g.model, g.scenario, g.n, g.seed, g.seed)
 }
 
 func run(bin, goldenPath string) error {
@@ -130,29 +124,28 @@ func run(bin, goldenPath string) error {
 	defer os.RemoveAll(cacheDir)
 
 	// ---- Phase 1: fill the queue, crash mid-drain. --------------------
-	baseA, cmdA, err := startDaemon(bin, []string{"MPCGRAPHD_FAILPOINTS=solve-delay=100ms"},
+	a, err := harness.Start(bin, []string{"MPCGRAPHD_FAILPOINTS=solve-delay=100ms"},
 		"-workers", "1", "-queue", strconv.Itoa(len(goldens)+4), "-cache-dir", cacheDir)
 	if err != nil {
 		return err
 	}
-	defer reap(cmdA)
+	defer a.Reap()
 
 	keyOf := make(map[string]string, len(goldens)) // case -> cache key
 	for i := range goldens {
-		view, err := submit(baseA, goldens[i].request())
+		view, err := a.Submit(goldens[i].req)
 		if err != nil {
 			return fmt.Errorf("phase 1 submit %s: %w", goldens[i].Case, err)
 		}
-		keyOf[goldens[i].Case], _ = view["cacheKey"].(string)
+		keyOf[goldens[i].Case] = view.CacheKey
 	}
 	// Let a prefix of the queue complete, then kill without ceremony.
-	if err := waitDone(baseA, 5, 60*time.Second); err != nil {
+	if err := waitDone(a, 5, 60*time.Second); err != nil {
 		return fmt.Errorf("phase 1: %w", err)
 	}
-	if err := cmdA.Process.Kill(); err != nil { // SIGKILL: no drain, no flush
+	if err := a.Kill(); err != nil { // SIGKILL: no drain, no flush
 		return err
 	}
-	_ = cmdA.Wait()
 	fmt.Printf("  phase 1: %d cases submitted, daemon SIGKILLed mid-queue\n", len(goldens))
 
 	// ---- Phase 2: the surviving directory. ----------------------------
@@ -180,32 +173,25 @@ func run(bin, goldenPath string) error {
 	fmt.Printf("  phase 2: %d of %d entries survived the crash intact\n", len(persisted), len(goldens))
 
 	// ---- Phase 3: restart, recover, zero recomputation. ---------------
-	baseB, cmdB, err := startDaemon(bin, nil, "-workers", "2", "-cache-dir", cacheDir)
+	b, err := harness.Start(bin, nil, "-workers", "2", "-cache-dir", cacheDir)
 	if err != nil {
 		return err
 	}
-	defer reap(cmdB)
-	if v, err := metric(baseB, `mpcgraphd_cache_entries{tier="disk"}`); err != nil || v != len(persisted) {
-		return fmt.Errorf("phase 3: restarted daemon indexes %d disk entries (err %v), want %d", v, err, len(persisted))
+	defer b.Reap()
+	if err := wantMetric(b, "phase 3: restarted daemon's indexed disk entries", "==", len(persisted), "mpcgraphd_cache_entries", "tier", "disk"); err != nil {
+		return err
 	}
 
 	recovered := 0
 	for i := range goldens {
 		g := &goldens[i]
-		view, err := submit(baseB, g.request())
-		if err != nil {
-			return fmt.Errorf("phase 3 submit %s: %w", g.Case, err)
-		}
-		id, _ := view["id"].(string)
-		view, err = awaitDone(baseB, id, 120*time.Second)
+		view, err := b.Solve(g.req, 120*time.Second)
 		if err != nil {
 			return fmt.Errorf("phase 3 %s: %w", g.Case, err)
 		}
-		hit, _ := view["cacheHit"].(bool)
-		tier, _ := view["cacheTier"].(string)
 		if persisted[keyOf[g.Case]] {
-			if !hit || tier != "disk" {
-				return fmt.Errorf("phase 3 %s: persisted entry served with cacheHit=%t tier=%q, want disk hit", g.Case, hit, tier)
+			if !view.CacheHit || view.CacheTier != service.TierDisk {
+				return fmt.Errorf("phase 3 %s: persisted entry served with cacheHit=%t tier=%q, want disk hit", g.Case, view.CacheHit, view.CacheTier)
 			}
 			recovered++
 		}
@@ -216,16 +202,16 @@ func run(bin, goldenPath string) error {
 	if recovered != len(persisted) {
 		return fmt.Errorf("phase 3: %d disk hits for %d persisted entries", recovered, len(persisted))
 	}
-	if v, err := metric(baseB, "mpcgraphd_solves_total"); err != nil || v != len(goldens)-len(persisted) {
-		return fmt.Errorf("phase 3: %d solves (err %v), want %d — recovery must not recompute", v, err, len(goldens)-len(persisted))
+	if err := wantMetric(b, "phase 3: solves (recovery must not recompute)", "==", len(goldens)-len(persisted), "mpcgraphd_solves_total"); err != nil {
+		return err
 	}
-	if v, err := metric(baseB, `mpcgraphd_cache_hits_total{tier="disk"}`); err != nil || v != len(persisted) {
-		return fmt.Errorf("phase 3: %d disk-tier hits (err %v), want %d", v, err, len(persisted))
+	if err := wantMetric(b, "phase 3: disk-tier hits", "==", len(persisted), "mpcgraphd_cache_hits_total", "tier", "disk"); err != nil {
+		return err
 	}
 	fmt.Printf("  phase 3: all %d recovered hits bit-identical to goldens, %d recomputes, 0 excess solves\n",
 		recovered, len(goldens)-len(persisted))
 
-	if err := drain(cmdB); err != nil {
+	if err := b.Drain(); err != nil {
 		return fmt.Errorf("phase 3 drain: %w", err)
 	}
 
@@ -246,81 +232,63 @@ func run(bin, goldenPath string) error {
 		return err
 	}
 
-	baseC, cmdC, err := startDaemon(bin, []string{"MPCGRAPHD_FAILPOINTS=solve-delay=500ms"},
+	c, err := harness.Start(bin, []string{"MPCGRAPHD_FAILPOINTS=solve-delay=500ms"},
 		"-workers", "2", "-cache-dir", cacheDir)
 	if err != nil {
 		return err
 	}
-	defer reap(cmdC)
-	if v, err := metric(baseC, "mpcgraphd_cache_disk_quarantined_total"); err != nil || v < 1 {
-		return fmt.Errorf("phase 4: quarantined_total %d (err %v), want >= 1", v, err)
+	defer c.Reap()
+	if err := wantMetric(c, "phase 4: quarantined_total", ">=", 1, "mpcgraphd_cache_disk_quarantined_total"); err != nil {
+		return err
 	}
-	if health, err := get(baseC + "/healthz"); err != nil || !strings.Contains(string(health), `"cacheDisk": "ok"`) {
-		return fmt.Errorf("phase 4: corruption degraded the health probe: %s (err %v)", health, err)
+	if health, err := c.Health(context.Background()); err != nil || health.CacheDisk != "ok" {
+		return fmt.Errorf("phase 4: corruption degraded the health probe: %+v (err %v)", health, err)
 	}
 
 	// Coalescing burst: one new-key case, six concurrent submissions,
 	// 500ms solve delay — one flight must absorb them all.
-	burstBody := `{
-		"problem": "mis",
-		"scenario": {"name": "gnp", "n": 333, "seed": 21},
-		"options": {"seed": 21}
-	}`
+	burstReq := &service.JobRequest{
+		Problem:  "mis",
+		Scenario: &service.ScenarioRequest{Name: "gnp", N: 333, Seed: 21},
+		Options:  service.OptionsRequest{Seed: 21},
+	}
 	const burst = 6
 	var wg sync.WaitGroup
-	ids := make([]string, burst)
+	canon := make([][]byte, burst)
 	errs := make([]error, burst)
-	for i := 0; i < burst; i++ {
-		i := i
+	for i := range burst {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			view, err := submit(baseC, burstBody)
-			if err != nil {
-				errs[i] = err
-				return
+			view, err := c.Solve(burstReq, 60*time.Second)
+			if errs[i] = err; err == nil {
+				canon[i], _ = json.Marshal(view.Canonical())
 			}
-			ids[i], _ = view["id"].(string)
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return fmt.Errorf("phase 4 burst: %w", err)
+	if err := errors.Join(errs...); err != nil {
+		return fmt.Errorf("phase 4 burst: %w", err)
+	}
+	for _, got := range canon[1:] {
+		if !bytes.Equal(canon[0], got) {
+			return fmt.Errorf("phase 4 burst results diverge:\n %s\n %s", canon[0], got)
 		}
 	}
-	canon := ""
-	for _, id := range ids {
-		view, err := awaitDone(baseC, id, 60*time.Second)
-		if err != nil {
-			return fmt.Errorf("phase 4 burst job %s: %w", id, err)
-		}
-		c := canonical(view)
-		if canon == "" {
-			canon = c
-		} else if canon != c {
-			return fmt.Errorf("phase 4 burst results diverge:\n %s\n %s", canon, c)
-		}
+	if err := wantMetric(c, fmt.Sprintf("phase 4: solves for a burst of %d identical jobs", burst), "==", 1, "mpcgraphd_solves_total"); err != nil {
+		return err
 	}
-	if v, err := metric(baseC, "mpcgraphd_solves_total"); err != nil || v != 1 {
-		return fmt.Errorf("phase 4: burst of %d identical jobs ran %d solves (err %v), want 1", burst, v, err)
-	}
-	if v, err := metric(baseC, "mpcgraphd_coalesced_total"); err != nil || v < 1 {
-		return fmt.Errorf("phase 4: coalesced_total %d (err %v), want >= 1", v, err)
+	if err := wantMetric(c, "phase 4: coalesced_total", ">=", 1, "mpcgraphd_coalesced_total"); err != nil {
+		return err
 	}
 
 	// Healing: the corrupted case recomputes to the golden and restores
 	// its entry file.
-	view, err := submit(baseC, victim.request())
-	if err != nil {
-		return fmt.Errorf("phase 4 heal submit: %w", err)
-	}
-	id, _ := view["id"].(string)
-	view, err = awaitDone(baseC, id, 120*time.Second)
+	view, err := c.Solve(victim.req, 120*time.Second)
 	if err != nil {
 		return fmt.Errorf("phase 4 heal: %w", err)
 	}
-	if hit, _ := view["cacheHit"].(bool); hit {
+	if view.CacheHit {
 		return fmt.Errorf("phase 4: quarantined entry was served as a cache hit")
 	}
 	if err := matchGolden(view, victim); err != nil {
@@ -338,7 +306,7 @@ func run(bin, goldenPath string) error {
 	fmt.Printf("  phase 4: corrupt entry quarantined + healed to the golden; burst of %d coalesced onto 1 solve\n", burst)
 
 	// ---- Phase 5: clean exit. -----------------------------------------
-	if err := drain(cmdC); err != nil {
+	if err := c.Drain(); err != nil {
 		return fmt.Errorf("phase 5: %w", err)
 	}
 	fmt.Println("  phase 5: SIGTERM drained cleanly")
@@ -346,189 +314,42 @@ func run(bin, goldenPath string) error {
 }
 
 // matchGolden compares the wire report against the pinned golden.
-func matchGolden(view map[string]any, g *golden) error {
-	rep, ok := view["report"].(map[string]any)
-	if !ok {
+func matchGolden(view *service.JobView, g *golden) error {
+	rep := view.Report
+	if rep == nil {
 		return fmt.Errorf("no report in view")
 	}
-	num := func(key string) int64 {
-		v, _ := rep[key].(float64)
-		return int64(v)
+	if rep.Rounds != g.Rounds || rep.Phases != g.Phases || rep.MaxMachineWords != g.MaxMachineWords ||
+		rep.TotalWords != g.TotalWords || rep.Violations != g.Violations {
+		return fmt.Errorf("costs diverge from golden: got rounds=%d phases=%d maxWords=%d totalWords=%d violations=%d, want %+v",
+			rep.Rounds, rep.Phases, rep.MaxMachineWords, rep.TotalWords, rep.Violations, *g)
 	}
-	if num("rounds") != int64(g.Rounds) || num("phases") != int64(g.Phases) ||
-		num("maxMachineWords") != g.MaxMachineWords || num("totalWords") != g.TotalWords ||
-		num("violations") != int64(g.Violations) {
-		return fmt.Errorf("costs diverge from golden: got rounds=%v phases=%v maxWords=%v totalWords=%v violations=%v, want %+v",
-			rep["rounds"], rep["phases"], rep["maxMachineWords"], rep["totalWords"], rep["violations"], *g)
-	}
-	if hash, _ := rep["solutionHash"].(string); hash != fmt.Sprintf("%016x", g.SolutionHash) {
-		return fmt.Errorf("solution hash %v, golden %016x", rep["solutionHash"], g.SolutionHash)
+	if rep.SolutionHash != fmt.Sprintf("%016x", g.SolutionHash) {
+		return fmt.Errorf("solution hash %s, golden %016x", rep.SolutionHash, g.SolutionHash)
 	}
 	return nil
 }
 
-// canonical strips the volatile fields for burst bit-identity checks.
-func canonical(view map[string]any) string {
-	c := make(map[string]any, len(view))
-	for k, v := range view {
-		switch k {
-		case "id", "cacheHit", "cacheTier", "coalesced", "createdAt", "startedAt", "finishedAt", "traceLen", "source", "timings":
-			continue
-		}
-		c[k] = v
-	}
-	if rep, ok := c["report"].(map[string]any); ok {
-		r := make(map[string]any, len(rep))
-		for k, v := range rep {
-			if k == "wallMs" {
-				continue
-			}
-			r[k] = v
-		}
-		c["report"] = r
-	}
-	out, _ := json.Marshal(c)
-	return string(out)
-}
-
-// ---- daemon plumbing ----------------------------------------------------
-
-func startDaemon(bin string, env []string, args ...string) (string, *exec.Cmd, error) {
-	cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...)
-	cmd.Env = append(os.Environ(), env...)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return "", nil, err
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return "", nil, err
-	}
-	sc := bufio.NewScanner(stdout)
-	var base string
-	for sc.Scan() {
-		line := sc.Text()
-		if i := strings.Index(line, "listening on "); i >= 0 {
-			base = strings.TrimSpace(line[i+len("listening on "):])
-			break
-		}
-	}
-	if base == "" {
-		_ = cmd.Process.Kill()
-		_ = cmd.Wait()
-		return "", nil, fmt.Errorf("daemon never printed its address")
-	}
-	go io.Copy(io.Discard, stdout)
-	return base, cmd, nil
-}
-
-// reap kills a daemon that a failed phase left running.
-func reap(cmd *exec.Cmd) {
-	if cmd.ProcessState == nil {
-		_ = cmd.Process.Kill()
-		_ = cmd.Wait()
-	}
-}
-
-// drain SIGTERMs the daemon and requires a zero exit.
-func drain(cmd *exec.Cmd) error {
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	exited := make(chan error, 1)
-	go func() { exited <- cmd.Wait() }()
-	select {
-	case err := <-exited:
-		if err != nil {
-			return fmt.Errorf("non-zero exit after SIGTERM: %v", err)
-		}
+// wantMetric requires the /metrics series name{kv} to be == or >= want.
+func wantMetric(d *harness.Daemon, what, cmp string, want int, name string, kv ...string) error {
+	v, err := d.Metric(name, kv...)
+	if err == nil && (v == float64(want) || cmp == ">=" && v > float64(want)) {
 		return nil
-	case <-time.After(60 * time.Second):
-		_ = cmd.Process.Kill()
-		return fmt.Errorf("no exit within 60s of SIGTERM")
 	}
+	return fmt.Errorf("%s: %v (err %v), want %s %d", what, v, err, cmp, want)
 }
 
-// ---- HTTP plumbing ------------------------------------------------------
-
-func submit(base, body string) (map[string]any, error) {
-	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	data, _ := io.ReadAll(resp.Body)
-	_ = resp.Body.Close()
-	if resp.StatusCode != 201 {
-		return nil, fmt.Errorf("submit: %s: %s", resp.Status, data)
-	}
-	var view map[string]any
-	if err := json.Unmarshal(data, &view); err != nil {
-		return nil, err
-	}
-	return view, nil
-}
-
-func awaitDone(base, id string, timeout time.Duration) (map[string]any, error) {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		data, err := get(base + "/v1/jobs/" + id)
-		if err != nil {
-			return nil, err
-		}
-		var view map[string]any
-		if err := json.Unmarshal(data, &view); err != nil {
-			return nil, err
-		}
-		switch view["state"] {
-		case "done":
-			return view, nil
-		case "failed", "canceled":
-			return nil, fmt.Errorf("job %s %v: %v", id, view["state"], view["error"])
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	return nil, fmt.Errorf("job %s did not finish within %v", id, timeout)
-}
-
-// waitDone polls the job listing until at least want jobs are done.
-func waitDone(base string, want int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		v, err := metric(base, `mpcgraphd_jobs{state="done"}`)
-		if err == nil && v >= want {
+// waitDone polls /metrics until at least want jobs are done.
+func waitDone(d *harness.Daemon, want int, timeout time.Duration) error {
+	deadline := time.After(timeout)
+	for {
+		if v, err := d.Metric("mpcgraphd_jobs", "state", "done"); err == nil && v >= float64(want) {
 			return nil
 		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	return fmt.Errorf("fewer than %d jobs finished within %v", want, timeout)
-}
-
-// metric scrapes one exact series from /metrics.
-func metric(base, name string) (int, error) {
-	data, err := get(base + "/metrics")
-	if err != nil {
-		return 0, err
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if rest, ok := strings.CutPrefix(line, name+" "); ok {
-			return strconv.Atoi(strings.TrimSpace(rest))
+		select {
+		case <-deadline:
+			return fmt.Errorf("fewer than %d jobs finished within %v", want, timeout)
+		case <-time.After(25 * time.Millisecond):
 		}
 	}
-	return 0, fmt.Errorf("no series %q in /metrics", name)
-}
-
-func get(url string) ([]byte, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != 200 {
-		return nil, fmt.Errorf("GET %s: %s: %s", url, resp.Status, data)
-	}
-	return data, nil
 }

@@ -19,20 +19,21 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
-	"os/exec"
+	"slices"
 	"strings"
-	"syscall"
 	"time"
 
+	"mpcgraph/internal/client"
 	"mpcgraph/internal/obs"
+	"mpcgraph/internal/service"
+	"mpcgraph/internal/tools/harness"
 )
 
 func main() {
@@ -49,56 +50,25 @@ func main() {
 	fmt.Println("service-smoke OK")
 }
 
-// jobSpec is one cold-run/cache-hit probe.
-type jobSpec struct {
-	problem  string
-	model    string
-	scenario string
+// specs are the cold-run/cache-hit probes: every problem, both models
+// where registered, and the weighted path.
+var specs = []service.JobRequest{
+	job("mis", "mpc", "gnp"),
+	job("mis", "congested-clique", "gnp"),
+	job("maximal-matching", "mpc", "rmat"),
+	job("approx-matching", "congested-clique", "chung-lu"),
+	job("one-plus-eps-matching", "mpc", "ring-of-cliques"),
+	job("vertex-cover", "congested-clique", "high-girth"),
+	job("weighted-matching", "mpc", "weighted-gnp"),
 }
 
-// specs covers every problem, both models where registered, and the
-// weighted path.
-var specs = []jobSpec{
-	{"mis", "mpc", "gnp"},
-	{"mis", "congested-clique", "gnp"},
-	{"maximal-matching", "mpc", "rmat"},
-	{"approx-matching", "congested-clique", "chung-lu"},
-	{"one-plus-eps-matching", "mpc", "ring-of-cliques"},
-	{"vertex-cover", "congested-clique", "high-girth"},
-	{"weighted-matching", "mpc", "weighted-gnp"},
-}
-
-// startDaemon boots bin with args, waits for the "listening on" line,
-// and returns the base URL plus the running process.
-func startDaemon(bin string, env []string, args ...string) (string, *exec.Cmd, error) {
-	cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...)
-	cmd.Env = append(os.Environ(), env...)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return "", nil, err
+func job(problem, model, scenario string) service.JobRequest {
+	return service.JobRequest{
+		Problem:  problem,
+		Model:    model,
+		Scenario: &service.ScenarioRequest{Name: scenario, N: 500, Seed: 7},
+		Options:  service.OptionsRequest{Seed: 7},
 	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return "", nil, err
-	}
-
-	// The daemon's first stdout line carries the bound address.
-	sc := bufio.NewScanner(stdout)
-	var base string
-	for sc.Scan() {
-		line := sc.Text()
-		if i := strings.Index(line, "listening on "); i >= 0 {
-			base = strings.TrimSpace(line[i+len("listening on "):])
-			break
-		}
-	}
-	if base == "" {
-		_ = cmd.Process.Kill()
-		_ = cmd.Wait()
-		return "", nil, fmt.Errorf("daemon never printed its address")
-	}
-	go io.Copy(io.Discard, stdout) // keep the pipe drained
-	return base, cmd, nil
 }
 
 func run(bin string) error {
@@ -108,66 +78,54 @@ func run(bin string) error {
 	}
 	defer os.RemoveAll(cacheDir)
 
-	base, cmd, err := startDaemon(bin, nil, "-workers", "2", "-cache-dir", cacheDir)
+	d, err := harness.Start(bin, nil, "-workers", "2", "-cache-dir", cacheDir)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if cmd.ProcessState == nil {
-			_ = cmd.Process.Kill()
-			_ = cmd.Wait()
-		}
-	}()
+	defer d.Reap()
 
 	for _, spec := range specs {
-		cold, err := submitAndWait(base, spec)
+		cold, err := d.Solve(&spec, 120*time.Second)
 		if err != nil {
-			return fmt.Errorf("%s/%s cold: %w", spec.problem, spec.model, err)
+			return fmt.Errorf("%s/%s cold: %w", spec.Problem, spec.Model, err)
 		}
-		if cacheHit(cold) {
-			return fmt.Errorf("%s/%s: cold run claimed a cache hit", spec.problem, spec.model)
+		if cold.CacheHit {
+			return fmt.Errorf("%s/%s: cold run claimed a cache hit", spec.Problem, spec.Model)
 		}
-		hit, err := submitAndWait(base, spec)
+		hit, err := d.Solve(&spec, 120*time.Second)
 		if err != nil {
-			return fmt.Errorf("%s/%s hit: %w", spec.problem, spec.model, err)
+			return fmt.Errorf("%s/%s hit: %w", spec.Problem, spec.Model, err)
 		}
-		if !cacheHit(hit) {
-			return fmt.Errorf("%s/%s: re-submit missed the cache", spec.problem, spec.model)
+		if !hit.CacheHit {
+			return fmt.Errorf("%s/%s: re-submit missed the cache", spec.Problem, spec.Model)
 		}
-		a, b := canonical(cold), canonical(hit)
+		a, _ := json.Marshal(cold.Canonical())
+		b, _ := json.Marshal(hit.Canonical())
 		if !bytes.Equal(a, b) {
 			return fmt.Errorf("%s/%s: cache hit not bit-identical to cold run:\n cold: %s\n hit:  %s",
-				spec.problem, spec.model, a, b)
+				spec.Problem, spec.Model, a, b)
 		}
 		// Every terminal view must carry an ordered lifecycle timings
 		// block; the cold run's must show the full leader path.
 		if err := checkTimings(cold, "received", "queued", "dequeued", "solving", "persisted", "settled"); err != nil {
-			return fmt.Errorf("%s/%s cold timings: %w", spec.problem, spec.model, err)
+			return fmt.Errorf("%s/%s cold timings: %w", spec.Problem, spec.Model, err)
 		}
 		if err := checkTimings(hit, "received", "settled"); err != nil {
-			return fmt.Errorf("%s/%s hit timings: %w", spec.problem, spec.model, err)
+			return fmt.Errorf("%s/%s hit timings: %w", spec.Problem, spec.Model, err)
 		}
-		fmt.Printf("  %-22s %-17s cold+hit bit-identical (rounds=%v)\n",
-			spec.problem, spec.model, cold["report"].(map[string]any)["rounds"])
+		fmt.Printf("  %-22s %-17s cold+hit bit-identical (rounds=%d)\n",
+			spec.Problem, spec.Model, cold.Report.Rounds)
 	}
 
-	metrics, err := get(base + "/metrics")
+	exp, err := d.Metrics(context.Background())
 	if err != nil {
 		return err
 	}
 	// Exposition-format invariants over the whole scrape: every series
 	// under a HELP/TYPE header, histogram buckets cumulative-monotone,
 	// le="+Inf" present and equal to _count.
-	exp, err := obs.ParseExposition(bytes.NewReader(metrics))
-	if err != nil {
-		return fmt.Errorf("/metrics does not parse as text exposition: %w", err)
-	}
-	if problems := obs.ValidateExposition(exp); len(problems) > 0 {
-		msgs := make([]string, len(problems))
-		for i, p := range problems {
-			msgs[i] = p.Error()
-		}
-		return fmt.Errorf("/metrics violates exposition invariants:\n  %s", strings.Join(msgs, "\n  "))
+	if err := errors.Join(obs.ValidateExposition(exp)...); err != nil {
+		return fmt.Errorf("/metrics violates exposition invariants:\n%w", err)
 	}
 	for _, family := range []string{
 		"mpcgraphd_http_request_seconds", "mpcgraphd_queue_wait_seconds",
@@ -179,44 +137,34 @@ func run(bin string) error {
 		}
 	}
 	fmt.Printf("  metrics: exposition invariants hold (%d samples)\n", len(exp.Samples))
-	if !strings.Contains(string(metrics), fmt.Sprintf(`mpcgraphd_cache_hits_total{tier="memory"} %d`, len(specs))) {
-		return fmt.Errorf("metrics do not report %d memory-tier cache hits:\n%s", len(specs), metrics)
+	for _, c := range []struct {
+		want float64
+		name string
+		kv   []string
+	}{
+		{float64(len(specs)), "mpcgraphd_cache_hits_total", []string{"tier", "memory"}},
+		{float64(2 * len(specs)), "mpcgraphd_jobs_submitted_total", nil},
+		{float64(len(specs)), "mpcgraphd_cache_disk_writes_total", nil},
+	} {
+		if v, ok := exp.Value(c.name, c.kv...); !ok || v != c.want {
+			return fmt.Errorf("metrics report %s%q = %v (present %t), want exactly %v", c.name, c.kv, v, ok, c.want)
+		}
 	}
-	if !strings.Contains(string(metrics), fmt.Sprintf("mpcgraphd_jobs_submitted_total %d", 2*len(specs))) {
-		return fmt.Errorf("metrics do not report %d submissions", 2*len(specs))
-	}
-	if !strings.Contains(string(metrics), fmt.Sprintf("mpcgraphd_cache_disk_writes_total %d", len(specs))) {
-		return fmt.Errorf("metrics do not report %d disk-tier writes:\n%s", len(specs), metrics)
-	}
-	health, err := get(base + "/healthz")
+	health, err := d.Health(context.Background())
 	if err != nil {
 		return err
 	}
-	if !strings.Contains(string(health), `"status": "ok"`) {
-		return fmt.Errorf("healthz not ok: %s", health)
-	}
-	if !strings.Contains(string(health), `"cacheDisk": "ok"`) {
-		return fmt.Errorf("healthz does not report a healthy disk tier: %s", health)
+	if health.Status != "ok" || health.Draining || health.CacheDisk != "ok" {
+		return fmt.Errorf("healthz not ok with a healthy disk tier: %+v", *health)
 	}
 
-	if err := checkBatch(base); err != nil {
+	if err := checkBatch(d); err != nil {
 		return err
 	}
 
 	// Graceful drain: SIGTERM must produce a zero exit.
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	exited := make(chan error, 1)
-	go func() { exited <- cmd.Wait() }()
-	select {
-	case err := <-exited:
-		if err != nil {
-			return fmt.Errorf("daemon exited non-zero after SIGTERM: %v", err)
-		}
-	case <-time.After(60 * time.Second):
-		_ = cmd.Process.Kill()
-		return fmt.Errorf("daemon did not drain within 60s of SIGTERM")
+	if err := d.Drain(); err != nil {
+		return fmt.Errorf("daemon drain: %w", err)
 	}
 
 	return checkBackpressure(bin)
@@ -229,71 +177,27 @@ func run(bin string) error {
 // of the batch view and an unchanged mpcgraphd_solves_total. The
 // NDJSON stream of the settled batch must replay one line per member
 // plus the final done marker.
-func checkBatch(base string) error {
-	solvesBefore, err := metricValue(base, "mpcgraphd_solves_total")
+func checkBatch(d *harness.Daemon) error {
+	solvesBefore, err := d.Metric("mpcgraphd_solves_total")
 	if err != nil {
 		return err
 	}
 
-	var jobs []string
-	for _, spec := range specs {
-		jobs = append(jobs, fmt.Sprintf(`{
-			"problem": %q, "model": %q,
-			"scenario": {"name": %q, "n": 500, "seed": 7},
-			"options": {"seed": 7}
-		}`, spec.problem, spec.model, spec.scenario))
-	}
-	body := `{"jobs": [` + strings.Join(jobs, ",") + `]}`
-	resp, err := http.Post(base+"/v1/batches", "application/json", strings.NewReader(body))
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	view, err := d.SubmitBatch(ctx, &service.BatchRequest{Jobs: specs}, client.Retry{Op: "batch"})
 	if err != nil {
 		return err
 	}
-	data, err := io.ReadAll(resp.Body)
-	_ = resp.Body.Close()
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != 201 {
-		return fmt.Errorf("batch submit: %s: %s", resp.Status, data)
-	}
-	var view map[string]any
-	if err := json.Unmarshal(data, &view); err != nil {
-		return err
-	}
-	id, _ := view["id"].(string)
-
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		if state, _ := view["state"].(string); state == "done" {
-			break
-		}
-		if !time.Now().Before(deadline) {
-			return fmt.Errorf("batch %s did not settle", id)
-		}
-		time.Sleep(20 * time.Millisecond)
-		data, err := get(base + "/v1/batches/" + id)
-		if err != nil {
-			return err
-		}
-		if err := json.Unmarshal(data, &view); err != nil {
-			return err
-		}
+	if view, err = d.WaitBatch(ctx, view.ID, 0); err != nil {
+		return fmt.Errorf("batch did not settle: %w", err)
 	}
 
-	counts, _ := view["counts"].(map[string]any)
-	if done, _ := counts["done"].(float64); int(done) != len(specs) {
-		return fmt.Errorf("batch %s: %v of %d members done: %s", id, done, len(specs), data)
-	}
-	dedup, _ := view["dedup"].(map[string]any)
-	hits, _ := dedup["cacheHits"].(map[string]any)
-	if mem, _ := hits["memory"].(float64); int(mem) != len(specs) {
-		return fmt.Errorf("batch %s: %v memory-tier hits, want %d: %s", id, mem, len(specs), data)
-	}
-	if enq, _ := dedup["enqueued"].(float64); enq != 0 {
-		return fmt.Errorf("batch %s: enqueued %v jobs, want 0 (all cached): %s", id, enq, data)
+	if n := len(specs); view.Counts.Done != n || view.Dedup.CacheHits.Memory != n || view.Dedup.Enqueued != 0 {
+		return fmt.Errorf("batch %s: want all %d members done as memory-tier hits with 0 enqueued: %+v", view.ID, n, *view)
 	}
 
-	solvesAfter, err := metricValue(base, "mpcgraphd_solves_total")
+	solvesAfter, err := d.Metric("mpcgraphd_solves_total")
 	if err != nil {
 		return err
 	}
@@ -301,18 +205,16 @@ func checkBatch(base string) error {
 		return fmt.Errorf("fully cached batch performed %v new solves, want 0", solvesAfter-solvesBefore)
 	}
 
-	stream, err := get(base + "/v1/batches/" + id + "/stream")
+	var stream bytes.Buffer
+	final, err := d.StreamBatch(ctx, view.ID, &stream)
 	if err != nil {
 		return err
 	}
-	lines := strings.Split(strings.TrimSpace(string(stream)), "\n")
+	lines := strings.Split(strings.TrimSpace(stream.String()), "\n")
 	if len(lines) != len(specs)+1 {
 		return fmt.Errorf("batch stream replayed %d lines, want %d members + done marker", len(lines), len(specs))
 	}
-	var marker struct {
-		Done bool `json:"done"`
-	}
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &marker); err != nil || !marker.Done {
+	if final == nil {
 		return fmt.Errorf("batch stream's last line is not the done marker: %s", lines[len(lines)-1])
 	}
 
@@ -320,68 +222,36 @@ func checkBatch(base string) error {
 	return nil
 }
 
-// metricValue scrapes one counter/gauge from /metrics.
-func metricValue(base, name string) (float64, error) {
-	data, err := get(base + "/metrics")
-	if err != nil {
-		return 0, err
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if rest, found := strings.CutPrefix(line, name+" "); found {
-			var v float64
-			if _, err := fmt.Sscanf(rest, "%f", &v); err != nil {
-				return 0, fmt.Errorf("metric %s: bad value %q", name, rest)
-			}
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("metric %s not found", name)
-}
-
 // checkBackpressure pins the overload convention against a saturated
 // daemon: one worker stalled by a failpoint, queue depth 1, so the
 // third identical-shape submission must be rejected with 429 and a
 // Retry-After hint.
 func checkBackpressure(bin string) error {
-	base, cmd, err := startDaemon(bin, []string{"MPCGRAPHD_FAILPOINTS=solve-stall"},
-		"-workers", "1", "-queue", "1")
+	d, err := harness.Start(bin, []string{"MPCGRAPHD_FAILPOINTS=solve-stall"}, "-workers", "1", "-queue", "1")
 	if err != nil {
 		return err
 	}
-	defer func() {
-		_ = cmd.Process.Kill()
-		_ = cmd.Wait()
-	}()
+	defer d.Reap()
 
 	saw429 := false
 	for i := 0; i < 4; i++ {
-		body := fmt.Sprintf(`{
-			"problem": "mis", "noCache": true,
-			"scenario": {"name": "gnp", "n": %d, "seed": 7},
-			"options": {"seed": 7}
-		}`, 200+i)
-		resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
-		if err != nil {
-			return err
-		}
-		data, _ := io.ReadAll(resp.Body)
-		_ = resp.Body.Close()
-		switch resp.StatusCode {
-		case 201:
-		case 429:
+		_, err := d.Submit(&service.JobRequest{
+			Problem:  "mis",
+			NoCache:  true,
+			Scenario: &service.ScenarioRequest{Name: "gnp", N: 200 + i, Seed: 7},
+			Options:  service.OptionsRequest{Seed: 7},
+		})
+		var he *client.Error
+		switch {
+		case err == nil:
+		case errors.As(err, &he) && he.Status == 429:
 			saw429 = true
-			if ra := resp.Header.Get("Retry-After"); ra == "" {
-				return fmt.Errorf("429 rejection carries no Retry-After header")
-			}
-			var view map[string]any
-			if err := json.Unmarshal(data, &view); err != nil {
-				return fmt.Errorf("429 body is not a job view: %s", data)
-			}
-			if state, _ := view["state"].(string); state != "canceled" {
-				return fmt.Errorf("429-rejected job state %q, want canceled", state)
+			var view service.JobView
+			if he.RetryAfter <= 0 || json.Unmarshal(he.Body, &view) != nil || view.State != service.StateCanceled {
+				return fmt.Errorf("429 rejection needs a Retry-After hint and the canceled job view: Retry-After %v, body %s", he.RetryAfter, he.Body)
 			}
 		default:
-			return fmt.Errorf("saturated submit %d: %s: %s", i, resp.Status, data)
+			return fmt.Errorf("saturated submit %d: %w", i, err)
 		}
 	}
 	if !saw429 {
@@ -391,141 +261,30 @@ func checkBackpressure(bin string) error {
 	return nil
 }
 
-// submitAndWait posts one job and polls it to a terminal state,
-// returning the job view as a generic map (so field comparison covers
-// every wire field, including ones this tool does not know about).
-func submitAndWait(base string, spec jobSpec) (map[string]any, error) {
-	body := fmt.Sprintf(`{
-		"problem": %q, "model": %q,
-		"scenario": {"name": %q, "n": 500, "seed": 7},
-		"options": {"seed": 7}
-	}`, spec.problem, spec.model, spec.scenario)
-	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	data, err := io.ReadAll(resp.Body)
-	_ = resp.Body.Close()
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != 201 {
-		return nil, fmt.Errorf("submit: %s: %s", resp.Status, data)
-	}
-	var view map[string]any
-	if err := json.Unmarshal(data, &view); err != nil {
-		return nil, err
-	}
-	id, _ := view["id"].(string)
-	deadline := time.Now().Add(120 * time.Second)
-	for time.Now().Before(deadline) {
-		state, _ := view["state"].(string)
-		switch state {
-		case "done":
-			return view, nil
-		case "failed", "canceled":
-			return nil, fmt.Errorf("job %s %s: %v", id, state, view["error"])
-		}
-		time.Sleep(20 * time.Millisecond)
-		data, err := get(base + "/v1/jobs/" + id)
-		if err != nil {
-			return nil, err
-		}
-		if err := json.Unmarshal(data, &view); err != nil {
-			return nil, err
-		}
-	}
-	return nil, fmt.Errorf("job %s did not finish", id)
-}
-
-func cacheHit(view map[string]any) bool {
-	hit, _ := view["cacheHit"].(bool)
-	return hit
-}
-
-// timingsOrder is the canonical lifecycle phase order; every timings
-// block must list a subset of it, in order, with non-decreasing atMs.
-var timingsOrder = map[string]int{
-	"received": 0, "queued": 1, "attached": 2, "dequeued": 3,
-	"solving": 4, "persisted": 5, "detached": 6, "settled": 7,
-}
+// lifecycle is the canonical phase order; every timings block must list
+// a subset of it, in order, with non-decreasing atMs.
+var lifecycle = []string{"received", "queued", "attached", "dequeued", "solving", "persisted", "detached", "settled"}
 
 // checkTimings asserts the terminal view carries an ordered timings
 // block containing at least the given phases.
-func checkTimings(view map[string]any, wantPhases ...string) error {
-	timings, ok := view["timings"].(map[string]any)
-	if !ok {
-		return fmt.Errorf("no timings block in view: %v", view)
+func checkTimings(view *service.JobView, wantPhases ...string) error {
+	if view.Timings == nil || len(view.Timings.Phases) == 0 {
+		return fmt.Errorf("no timings phases in view: %+v", *view)
 	}
-	phases, ok := timings["phases"].([]any)
-	if !ok || len(phases) == 0 {
-		return fmt.Errorf("timings block has no phases: %v", timings)
-	}
-	prevIdx, prevAt := -1, -1.0
+	phases, prevIdx, prevAt := view.Timings.Phases, -1, -1.0
 	seen := map[string]bool{}
-	for _, raw := range phases {
-		p, _ := raw.(map[string]any)
-		name, _ := p["phase"].(string)
-		at, _ := p["atMs"].(float64)
-		idx, known := timingsOrder[name]
-		if !known {
-			return fmt.Errorf("unknown phase %q", name)
+	for _, p := range phases {
+		idx := slices.Index(lifecycle, p.Phase)
+		if idx < 0 || idx <= prevIdx || p.AtMs < prevAt {
+			return fmt.Errorf("phase %q (atMs %v) unknown or out of lifecycle order in %+v", p.Phase, p.AtMs, phases)
 		}
-		if idx <= prevIdx {
-			return fmt.Errorf("phase %q out of lifecycle order in %v", name, phases)
-		}
-		if at < prevAt {
-			return fmt.Errorf("phase %q atMs %v decreased (prev %v)", name, at, prevAt)
-		}
-		seen[name] = true
-		prevIdx, prevAt = idx, at
+		seen[p.Phase] = true
+		prevIdx, prevAt = idx, p.AtMs
 	}
 	for _, want := range wantPhases {
 		if !seen[want] {
-			return fmt.Errorf("phase %q missing from %v", want, phases)
+			return fmt.Errorf("phase %q missing from %+v", want, phases)
 		}
 	}
 	return nil
-}
-
-// canonical renders a job view with the volatile fields (identity,
-// timestamps, wall time, cache/trace bookkeeping) removed; everything
-// left must be bit-identical between a cold run and its cache hit.
-func canonical(view map[string]any) []byte {
-	c := make(map[string]any, len(view))
-	for k, v := range view {
-		switch k {
-		case "id", "cacheHit", "cacheTier", "coalesced", "createdAt", "startedAt", "finishedAt", "traceLen", "source", "timings":
-			continue
-		}
-		c[k] = v
-	}
-	if rep, ok := c["report"].(map[string]any); ok {
-		r := make(map[string]any, len(rep))
-		for k, v := range rep {
-			if k == "wallMs" {
-				continue
-			}
-			r[k] = v
-		}
-		c["report"] = r
-	}
-	out, _ := json.Marshal(c)
-	return out
-}
-
-func get(url string) ([]byte, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != 200 {
-		return nil, fmt.Errorf("GET %s: %s: %s", url, resp.Status, data)
-	}
-	return data, nil
 }
